@@ -9,10 +9,8 @@ from .core import (
     DEFAULT_STREAM_DELAY,
     ITEM_CLASSES,
     ITEM_ORDER,
-    PoseSample,
     Source,
     Trial,
-    WrenchSample,
     align_streams,
     load_trials,
     save_trials,
@@ -47,14 +45,7 @@ from .evaluation import (
     ttest_2tailed,
     tukey_hsd,
 )
-from .hmm import (
-    HmmClassifier,
-    HmmModel,
-    baum_welch,
-    classify_hmm,
-    forward_loglik,
-    train_hmm_classifier,
-)
+from .hmm import HmmModel, baum_welch, forward_loglik
 from .nn import LstmModel, TcnModel, TrainConfig, cross_entropy, grad_check, softmax, train
 from .preprocess import (
     FeatureMatrix,

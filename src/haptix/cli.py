@@ -16,21 +16,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation as ev
-from . import hmm as hmm_mod
 from . import nn as nn_mod
-from . import svm as svm_mod
-from .core import (
-    CLASS_ORDER,
-    Source,
-    align_streams,
-    load_trials,
-    save_trials,
-)
+from .core import CLASS_ORDER, Source, class_index, load_trials, save_trials
 from .errors import DataError, NumericalError
-from .preprocess import FeatureSet, PreprocConfig, fit_norm, prepare_trial
+from .preprocess import FeatureSet, PreprocConfig
 from .synthgen import GenConfig, generate
 
 
@@ -314,44 +304,17 @@ def _cmd_train(args) -> int:
     data = _require_file(args.data, "trial file")
     ds = load_trials(data)
     fs = FeatureSet.parse(cfg["features"])
-    preproc = _preproc_from(cfg)
-    raw = []
-    for trial in ds.trials:
-        t = align_streams(trial, cfg["delay"]) if cfg["delay"] else trial
-        raw.append(prepare_trial(t, fs, None, preproc))
-    stats = fit_norm(raw)
-    fms = [stats.apply(fm) for fm in raw]
+    X = ev.feature_tensor(ds, fs, _preproc_from(cfg), cfg["delay"])
+    stats = ev.fit_norm_tensor(X, fs.channel_names)
     out = _outdir(args.out)
-    params = _params_from(cfg)
-    seed = cfg["seed"]
-    if args.clf == "hmm":
-        clf = hmm_mod.train_hmm_classifier(
-            fms, K=params["states"], max_iter=params["max_iter"],
-            tol=params["tol"], estimate_pi=params["estimate_pi"])
-        hmm_mod.save_hmm_classifier(clf, out / "model.json")
-    elif args.clf == "svm":
-        X = np.stack([svm_mod.flatten(fm) for fm in fms])
-        y = [fm.label for fm in fms]
-        model = svm_mod.train_svm(
-            X, y, C=params["C"], epochs=params.get("epochs", 200), seed=seed,
-            channel_names=fms[0].channel_names)
-        svm_mod.save_model(model, out / "model.json")
-    else:
-        grid, F = fms[0].values.shape
-        if args.clf == "tcn":
-            model = nn_mod.TcnModel(in_channels=F, channels=params["channels"],
-                                    depth=params["depth"], kernel=params["kernel"],
-                                    grid=grid, seed=seed)
-        else:
-            model = nn_mod.LstmModel(in_channels=F, hidden=params["hidden"],
-                                     layers=params["layers"], seed=seed,
-                                     per_step=params["per_step"])
-        tc = nn_mod.TrainConfig(learning_rate=params["lr"],
-                                epochs=params.get("epochs", 100),
-                                batch_size=params["batch_size"], seed=seed,
-                                optimizer=params["optimizer"])
-        _, curve = nn_mod.train(model, fms, tc)
-        nn_mod.save_model(model, out / "model.json")
+    family = ev.FAMILIES[args.clf]
+    params = ev.fit_params(ev.ClassifierSpec(args.clf, _params_from(cfg)), fs)
+    model = family.fit(ev.apply_norm(stats, X),
+                       [class_index(t.label) for t in ds.trials],
+                       ev.CLASS_LABELS, cfg["seed"], params)
+    family.save_model(model, out / "model.json")
+    curve = getattr(model, "loss_curve", None)
+    if curve is not None:
         nn_mod.save_loss_curve(curve, out / "loss_curve.csv")
     norm = {"mean": stats.mean.tolist(), "std": stats.std.tolist(),
             "channel_names": list(stats.channel_names)}

@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -107,26 +106,6 @@ WRENCH_COLUMNS = ("t", "fx", "fy", "fz", "tx", "ty", "tz")
 POSE_COLUMNS = ("t", "px", "py", "pz", "rx", "ry", "rz")
 
 
-class WrenchSample(NamedTuple):
-    t: float
-    fx: float
-    fy: float
-    fz: float
-    tx: float
-    ty: float
-    tz: float
-
-
-class PoseSample(NamedTuple):
-    t: float
-    px: float
-    py: float
-    pz: float
-    rx: float
-    ry: float
-    rz: float
-
-
 def normalize_item_name(name: str) -> str:
     return " ".join(name.replace("_", " ").replace("-", " ").lower().split())
 
@@ -214,12 +193,6 @@ class Trial:
             and np.array_equal(self.wrench, other.wrench)
             and np.array_equal(self.pose, other.pose)
         )
-
-    def wrench_samples(self) -> Iterable[WrenchSample]:
-        return (WrenchSample(*row) for row in self.wrench)
-
-    def pose_samples(self) -> Iterable[PoseSample]:
-        return (PoseSample(*row) for row in self.pose)
 
 
 @dataclass(frozen=True, eq=False)

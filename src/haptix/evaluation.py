@@ -35,10 +35,16 @@ from .errors import (
     DegenerateGroups,
     DimensionMismatch,
     HaptixError,
-    MissingClass,
     TooFewTrials,
 )
-from .preprocess import FeatureSet, NormStats, PreprocConfig, fit_norm, prepare_trial
+from .preprocess import (
+    FeatureMatrix,
+    FeatureSet,
+    NormStats,
+    PreprocConfig,
+    fit_norm,
+    prepare_trial,
+)
 
 CLASS_LABELS = tuple(c.label for c in CLASS_ORDER)
 _MSW_FLOOR = 1e-12
@@ -214,7 +220,7 @@ def write_ablation_csv(rows: Sequence[dict], path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# classifier trainers (label-index agnostic)
+# classifier families and the feature tensor
 
 @dataclass(frozen=True)
 class ClassifierSpec:
@@ -227,93 +233,43 @@ class ClassifierSpec:
         object.__setattr__(self, "params", dict(self.params))
 
 
-def _fit_predict_hmm(train_fms, y, n_labels, test_fms, seed, params):
-    K = int(params.get("states", 3))
-    max_iter = int(params.get("max_iter", 100))
-    tol = float(params.get("tol", 1e-4))
-    estimate_pi = bool(params.get("estimate_pi", False))
-    groups = [[] for _ in range(n_labels)]
-    for fm, lbl in zip(train_fms, y):
-        groups[lbl].append(fm)
-    models = []
-    for lbl, group in enumerate(groups):
-        if not group:
-            raise MissingClass(str(lbl))
-        models.append(hmm_mod.baum_welch(group, K=K, max_iter=max_iter, tol=tol,
-                                         estimate_pi=estimate_pi))
-    out = []
-    for fm in test_fms:
-        lls = [hmm_mod.forward_loglik(m, fm) for m in models]
-        out.append(int(np.argmax(lls)))
-    return out
+# kind -> family module. Each has fit(X, y, labels, seed, params) -> model,
+# predict(model, X) -> label indices, to_dict/from_dict and save_model.
+FAMILIES = {"hmm": hmm_mod, "svm": svm_mod, "tcn": nn_mod, "lstm": nn_mod}
 
 
-def _fit_predict_svm(train_fms, y, n_labels, test_fms, seed, params):
-    C = float(params.get("C", 1.0))
-    epochs = int(params.get("epochs", 200))
-    X = np.stack([svm_mod.flatten(fm) for fm in train_fms])
-    model = svm_mod.train_svm(X, list(y), C=C, epochs=epochs, seed=seed,
-                              classes=tuple(range(n_labels)))
-    return [int(predicted) for predicted, _ in
-            (svm_mod.predict_svm(model, svm_mod.flatten(fm)) for fm in test_fms)]
+def fit_params(spec: ClassifierSpec, fs: FeatureSet) -> dict:
+    """What a family's fit reads from params: the spec's hyperparameters, its
+    kind (nn builds a TCN or an LSTM from it) and the channel names."""
+    return dict(spec.params, kind=spec.kind, channel_names=fs.channel_names)
 
 
-def _nn_config(seed, params):
-    return nn_mod.TrainConfig(
-        learning_rate=float(params.get("lr", 1e-3)),
-        epochs=int(params.get("epochs", 100)),
-        batch_size=int(params.get("batch_size", 32)),
-        seed=seed,
-        optimizer=str(params.get("optimizer", "adam")),
-    )
+def _fit_predict(X_train, y, labels, X_test, seed, params):
+    family = FAMILIES[params["kind"]]
+    return family.predict(family.fit(X_train, y, labels, seed, params), X_test)
 
 
-def _fit_predict_tcn(train_fms, y, n_labels, test_fms, seed, params):
-    grid, F = train_fms[0].values.shape
-    model = nn_mod.TcnModel(
-        in_channels=F, n_classes=n_labels,
-        channels=int(params.get("channels", 32)),
-        depth=int(params.get("depth", 4)),
-        kernel=int(params.get("kernel", 5)),
-        grid=grid, seed=seed,
-    )
-    nn_mod.train(model, train_fms, _nn_config(seed, params), labels=y)
-    X = np.stack([fm.values for fm in test_fms])
-    return [int(v) for v in model.predict(X)]
+def feature_tensor(ds: Dataset, fs: FeatureSet,
+                   preproc: PreprocConfig = PreprocConfig(),
+                   delay: float = DEFAULT_STREAM_DELAY) -> np.ndarray:
+    """(N, G, F) features of every trial, in dataset order, not normalized."""
+    return np.stack([prepare_trial(align_streams(t, delay), fs, None, preproc).values
+                     for t in ds.trials])
 
 
-def _fit_predict_lstm(train_fms, y, n_labels, test_fms, seed, params):
-    F = train_fms[0].values.shape[1]
-    model = nn_mod.LstmModel(
-        in_channels=F, n_classes=n_labels,
-        hidden=int(params.get("hidden", 50)),
-        layers=int(params.get("layers", 2)),
-        seed=seed, per_step=bool(params.get("per_step", False)),
-    )
-    nn_mod.train(model, train_fms, _nn_config(seed, params), labels=y)
-    X = np.stack([fm.values for fm in test_fms])
-    return [int(v) for v in model.predict(X)]
+def fit_norm_tensor(X: np.ndarray, names: tuple) -> NormStats:
+    """fit_norm pooled over every grid row of every trial in X."""
+    return fit_norm([FeatureMatrix(X.reshape(-1, X.shape[2]), names)])
 
 
-_TRAINERS: dict[str, Callable] = {
-    "hmm": _fit_predict_hmm,
-    "svm": _fit_predict_svm,
-    "tcn": _fit_predict_tcn,
-    "lstm": _fit_predict_lstm,
-}
+def apply_norm(stats: NormStats, X: np.ndarray) -> np.ndarray:
+    """stats.apply on every grid row of every trial in X."""
+    rows = FeatureMatrix(X.reshape(-1, X.shape[2]), stats.channel_names)
+    return stats.apply(rows).values.reshape(X.shape)
 
 
 # ---------------------------------------------------------------------------
 # cross validation
-
-def _features_for(ds: Dataset, fs: FeatureSet, preproc: PreprocConfig,
-                  delay: float):
-    fms = []
-    for trial in ds.trials:
-        t = align_streams(trial, delay) if delay != 0.0 else trial
-        fms.append(prepare_trial(t, fs, None, preproc))
-    return fms
-
 
 def _item_index(trial) -> int:
     return ITEM_ORDER.index(normalize_item_name(trial.food_item))
@@ -335,30 +291,28 @@ def run_cv(ds: Dataset, spec: ClassifierSpec, fs: FeatureSet, split: FoldSplit,
     for trial in ds.trials:
         if trial.id not in split.assignments:
             raise ValueError(f"trial {trial.id} missing from fold assignments")
-    fit = trainer if trainer is not None else _TRAINERS[spec.kind]
-    raw = _features_for(ds, fs, preproc, delay)
+    fit = trainer if trainer is not None else _fit_predict
+    X = feature_tensor(ds, fs, preproc, delay)
     if per_item:
-        y_all = [_item_index(t) for t in ds.trials]
-        n_labels = len(ITEM_ORDER)
+        y_all = np.array([_item_index(t) for t in ds.trials])
+        labels = ITEM_ORDER
     else:
-        y_all = [class_index(t.label) for t in ds.trials]
-        n_labels = len(CLASS_ORDER)
+        y_all = np.array([class_index(t.label) for t in ds.trials])
+        labels = CLASS_LABELS
+    fold_of = np.array([split.assignments[t.id] for t in ds.trials])
+    params = fit_params(spec, fs)
 
     def one_fold(fold: int):
-        train_idx = [i for i, t in enumerate(ds.trials)
-                     if split.assignments[t.id] != fold]
-        test_idx = [i for i, t in enumerate(ds.trials)
-                    if split.assignments[t.id] == fold]
-        if not train_idx or not test_idx:
+        train_idx = np.flatnonzero(fold_of != fold)
+        test_idx = np.flatnonzero(fold_of == fold)
+        if not train_idx.size or not test_idx.size:
             raise TooFewTrials("fold", 1, 0)
-        stats = fit_norm([raw[i] for i in train_idx])
-        train_fms = [stats.apply(raw[i]) for i in train_idx]
-        test_fms = [stats.apply(raw[i]) for i in test_idx]
-        y_train = [y_all[i] for i in train_idx]
+        stats = fit_norm_tensor(X[train_idx], fs.channel_names)
+        Xn = apply_norm(stats, X)
         fold_seed = split.seed * 100003 + fold * 17 + 1
         try:
-            pred = fit(train_fms, y_train, n_labels, test_fms, fold_seed,
-                       spec.params)
+            pred = fit(Xn[train_idx], y_all[train_idx], labels, Xn[test_idx],
+                       fold_seed, params)
         except HaptixError as exc:
             exc.args = (f"fold {fold}: {exc}",)
             raise
@@ -429,15 +383,14 @@ def cross_domain_eval(train_ds: Dataset, test_ds: Dataset, spec: ClassifierSpec,
                       seed: int = 0,
                       trainer: Optional[Callable] = None) -> EvalReport:
     """Train once on all of train_ds, evaluate on all of test_ds."""
-    fit = trainer if trainer is not None else _TRAINERS[spec.kind]
-    raw_train = _features_for(train_ds, fs, preproc, delay)
-    raw_test = _features_for(test_ds, fs, preproc, delay)
-    stats = fit_norm(raw_train)
-    train_fms = [stats.apply(fm) for fm in raw_train]
-    test_fms = [stats.apply(fm) for fm in raw_test]
-    y_train = [class_index(t.label) for t in train_ds.trials]
+    fit = trainer if trainer is not None else _fit_predict
+    X_train = feature_tensor(train_ds, fs, preproc, delay)
+    X_test = feature_tensor(test_ds, fs, preproc, delay)
+    stats = fit_norm_tensor(X_train, fs.channel_names)
+    y_train = np.array([class_index(t.label) for t in train_ds.trials])
     y_test = [class_index(t.label) for t in test_ds.trials]
-    pred = fit(train_fms, y_train, len(CLASS_ORDER), test_fms, seed, spec.params)
+    pred = fit(apply_norm(stats, X_train), y_train, CLASS_LABELS,
+               apply_norm(stats, X_test), seed, fit_params(spec, fs))
     L = len(CLASS_ORDER)
     confusion = np.zeros((L, L), dtype=np.int64)
     hits = 0

@@ -2,8 +2,9 @@
 
 Forward likelihoods run entirely in log space; training is multi-sequence
 Baum-Welch with the initial state distribution held uniform (it can be
-re-estimated behind a flag). Classification picks the class whose model
-maximizes the observation log-likelihood.
+re-estimated behind a flag). The classifier (`fit`/`predict`) keeps one model
+per label and picks the label whose model maximizes the observation
+log-likelihood.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CLASS_ORDER, ComplianceClass
 from .errors import DimensionMismatch, EmptyTrainingSet, MissingClass
 
 VARIANCE_FLOOR = 1e-6
@@ -234,54 +234,6 @@ def baum_welch(trials: Sequence, K: int = 3, max_iter: int = 100,
                     channel_names=channel_names)
 
 
-@dataclass(frozen=True)
-class HmmClassifier:
-    """One generative model per compliance class."""
-
-    models: dict
-
-    def __post_init__(self):
-        if not self.models:
-            raise ValueError("classifier needs at least one model")
-        ms = list(self.models.values())
-        K, F = ms[0].K, ms[0].F
-        for m in ms[1:]:
-            if m.K != K or m.F != F:
-                raise ValueError("all per-class models must share K and F")
-        object.__setattr__(self, "models", dict(self.models))
-
-
-def train_hmm_classifier(train: Sequence, K: int = 3, max_iter: int = 100,
-                         tol: float = 1e-4, estimate_pi: bool = False) -> HmmClassifier:
-    """One Baum-Welch model per compliance class found in the labels."""
-    by_class: dict[ComplianceClass, list] = {c: [] for c in CLASS_ORDER}
-    for fm in train:
-        if fm.label is None:
-            raise ValueError("training matrices must carry labels")
-        by_class[fm.label].append(fm)
-    models = {}
-    for c in CLASS_ORDER:
-        if not by_class[c]:
-            raise MissingClass(c.label)
-        models[c] = baum_welch(by_class[c], K=K, max_iter=max_iter, tol=tol,
-                               estimate_pi=estimate_pi)
-    return HmmClassifier(models=models)
-
-
-def classify_hmm(clf: HmmClassifier, obs):
-    """argmax over per-class log-likelihoods; fixed-order tie-break."""
-    scores = {}
-    best = None
-    for c in CLASS_ORDER:
-        if c not in clf.models:
-            continue
-        ll = forward_loglik(clf.models[c], obs)
-        scores[c] = ll
-        if best is None or ll > scores[best]:
-            best = c
-    return best, scores
-
-
 def model_to_dict(model: HmmModel) -> dict:
     return {
         "K": model.K,
@@ -304,18 +256,51 @@ def model_from_dict(d: dict) -> HmmModel:
     )
 
 
-def save_hmm_classifier(clf: HmmClassifier, path) -> None:
-    payload = {
-        "kind": "hmm",
-        "models": {c.label: model_to_dict(m) for c, m in clf.models.items()},
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def fit(X, y, labels, seed, params) -> dict:
+    """One Baum-Welch model per label, trained on the trials of that label.
+
+    X is (N, G, F) and y holds indices into labels; the result maps each
+    label to its model, in label order. Training starts from the
+    deterministic initialization, so seed is unused. params: states,
+    max_iter, tol, estimate_pi, and channel_names to record in the models.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    if y.shape != X.shape[:1]:
+        raise ValueError("need one label index per trial")
+    models = {}
+    for k, label in enumerate(labels):
+        group = X[y == k]
+        if not len(group):
+            raise MissingClass(label)
+        models[label] = baum_welch(
+            group, K=int(params.get("states", 3)),
+            max_iter=int(params.get("max_iter", 100)),
+            tol=float(params.get("tol", 1e-4)),
+            estimate_pi=bool(params.get("estimate_pi", False)),
+            channel_names=params.get("channel_names"))
+    return models
 
 
-def load_hmm_classifier(path) -> HmmClassifier:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    models = {
-        ComplianceClass.from_label(lbl): model_from_dict(d)
-        for lbl, d in payload["models"].items()
-    }
-    return HmmClassifier(models=models)
+def predict(model: dict, X) -> np.ndarray:
+    """Index of the most likely label per trial; the first label wins ties."""
+    models = list(model.values())
+    return np.array([int(np.argmax([forward_loglik(m, x) for m in models]))
+                     for x in np.asarray(X, dtype=np.float64)], dtype=np.int64)
+
+
+def to_dict(model: dict) -> dict:
+    return {"kind": "hmm",
+            "models": {label: model_to_dict(m) for label, m in model.items()}}
+
+
+def from_dict(d: dict) -> dict:
+    models = {label: model_from_dict(m) for label, m in d["models"].items()}
+    if len({(m.K, m.F) for m in models.values()}) != 1:
+        raise ValueError("the per-label models must share K and F")
+    return models
+
+
+def save_model(model: dict, path) -> None:
+    Path(path).write_text(json.dumps(to_dict(model), indent=2) + "\n",
+                          encoding="utf-8")

@@ -421,6 +421,43 @@ def train(model, data: Sequence, cfg: TrainConfig = TrainConfig(),
     return model, curve
 
 
+def fit(X, y, labels, seed, params):
+    """Build the network that params["kind"] names ("tcn" or "lstm") for the
+    (N, G, F) tensor X, with one output per label, and train it on the label
+    indices y. The per-epoch mean loss is kept as the model's loss_curve.
+
+    params: channels, depth, kernel (tcn); hidden, layers, per_step (lstm);
+    lr, epochs, batch_size, optimizer (training).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    _, grid, F = X.shape
+    kind = params["kind"]
+    if kind == "tcn":
+        model = TcnModel(in_channels=F, n_classes=len(labels),
+                         channels=int(params.get("channels", 32)),
+                         depth=int(params.get("depth", 4)),
+                         kernel=int(params.get("kernel", 5)),
+                         grid=grid, seed=seed)
+    elif kind == "lstm":
+        model = LstmModel(in_channels=F, n_classes=len(labels),
+                          hidden=int(params.get("hidden", 50)),
+                          layers=int(params.get("layers", 2)),
+                          seed=seed, per_step=bool(params.get("per_step", False)))
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    cfg = TrainConfig(learning_rate=float(params.get("lr", 1e-3)),
+                      epochs=int(params.get("epochs", 100)),
+                      batch_size=int(params.get("batch_size", 32)),
+                      seed=seed, optimizer=str(params.get("optimizer", "adam")))
+    _, model.loss_curve = train(model, X, cfg, labels=y)
+    return model
+
+
+def predict(model, X) -> np.ndarray:
+    """Index of the highest logit per trial of the (N, G, F) tensor X."""
+    return model.predict(np.asarray(X, dtype=np.float64))
+
+
 def grad_check(model, sample, eps: float = 1e-5, n_coords: int = 200,
                seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
@@ -488,6 +525,9 @@ def model_from_dict(d: dict):
             raise ValueError(f"parameter {k} has shape {arr.shape}")
         model.params[k] = arr
     return model
+
+
+to_dict, from_dict = model_to_dict, model_from_dict
 
 
 def save_model(model, path) -> None:

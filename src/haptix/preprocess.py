@@ -216,19 +216,20 @@ def detect_contact(trial: Trial, threshold: float = DEFAULT_THRESHOLD,
     """
     if threshold <= 0.0:
         raise ValueError("threshold must be > 0")
-    if hold < 0.0:
+    if not hold >= 0.0:
         raise ValueError("hold must be >= 0")
     t = trial.wrench[:, 0]
     mag = np.linalg.norm(trial.wrench[:, 1:4], axis=1)
     above = mag >= threshold
-    t_end = t[-1]
-    for i in np.flatnonzero(above):
-        ti = t[i]
-        if ti + hold > t_end:
-            break
-        window = (t >= ti) & (t <= ti + hold)
-        if np.all(above[window]):
-            return float(ti)
+    n = t.shape[0]
+    # first index at or after each sample that is below threshold (n if none)
+    next_below = np.minimum.accumulate(np.where(above, n, np.arange(n))[::-1])[::-1]
+    end = t + hold
+    # one past the last sample of the window [t_i, t_i + hold]
+    window_end = np.searchsorted(t, end, side="right")
+    held = above & (end <= t[-1]) & (window_end <= next_below)
+    if held.any():
+        return float(t[np.argmax(held)])
     raise NoContact(
         f"no sustained force above {threshold} N for {hold} s in trial {trial.id}"
     )

@@ -151,6 +151,29 @@ def predict_svm(model: SvmModel, x):
     return model.classes[int(np.argmax(scores))], scores
 
 
+def _flat_rows(X) -> np.ndarray:
+    """(N, G, F) tensor -> (N, F * G) rows laid out like `flatten`."""
+    X = np.asarray(X, dtype=np.float64)
+    return X.transpose(0, 2, 1).reshape(X.shape[0], -1)
+
+
+def fit(X, y, labels, seed, params) -> SvmModel:
+    """One-vs-rest training on the (N, G, F) tensor X; y holds indices into
+    labels, which become the model's classes. params: C, epochs, and
+    channel_names to record in the model."""
+    return train_svm(_flat_rows(X), [labels[i] for i in y],
+                     C=float(params.get("C", 1.0)),
+                     epochs=int(params.get("epochs", 200)), seed=seed,
+                     classes=tuple(labels),
+                     channel_names=params.get("channel_names"))
+
+
+def predict(model: SvmModel, X) -> np.ndarray:
+    """Index of the winning class per trial of the (N, G, F) tensor X."""
+    return np.array([int(np.argmax(predict_svm(model, v)[1])) for v in _flat_rows(X)],
+                    dtype=np.int64)
+
+
 def model_to_dict(model: SvmModel) -> dict:
     classes = [
         c.label if isinstance(c, ComplianceClass) else c for c in model.classes
@@ -176,6 +199,9 @@ def model_from_dict(d: dict) -> SvmModel:
                     b=np.array(d["b"], dtype=np.float64),
                     C=float(d["C"]), classes=classes,
                     channel_names=tuple(names) if names else None)
+
+
+to_dict, from_dict = model_to_dict, model_from_dict
 
 
 def save_model(model: SvmModel, path) -> None:

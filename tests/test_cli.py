@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import haptix
+from haptix import evaluation as ev
 from haptix.cli import main
-from haptix.core import Source, load_trials
+from haptix.core import Source, class_index, load_trials
+from haptix.preprocess import FeatureSet
 
 SUMMARY_RE = re.compile(r"^(\w+) (\S+) (\d\.\d{4}) ± (\d\.\d{4})$")
 
@@ -121,6 +123,34 @@ class TestTrain:
         assert len(lines) == 3
         assert json.loads((out / "model.json").read_text())["kind"] == "tcn"
 
+    @pytest.mark.parametrize("clf", ["svm", "hmm", "tcn", "lstm"])
+    def test_model_json_predicts_like_cross_domain(self, clf, data_file, tmp_path):
+        test_data = tmp_path / "robot.jsonl"
+        # noisy enough that a model trained differently predicts differently
+        assert main(["synth", "--per-class", "3", "--seed", "8", "--source",
+                     "robot", "--noise", "0.3", "--out", str(test_data)]) == 0
+        flags = ["--clf", clf, "--features", "force", "--epochs", "3",
+                 "--max-iter", "3", "--states", "2", "--hidden", "6",
+                 "--layers", "1", "--channels", "4", "--depth", "2",
+                 "--kernel", "3"]
+        assert main(["train", "--data", str(data_file), *flags,
+                     "--out", str(tmp_path / "m")]) == 0
+        assert main(["cross-domain", "--train-data", str(data_file),
+                     "--test-data", str(test_data), *flags,
+                     "--out", str(tmp_path / "xd")]) == 0
+        assert (tmp_path / "m" / "loss_curve.csv").is_file() == (clf in ("tcn", "lstm"))
+
+        family = ev.FAMILIES[clf]
+        model = family.from_dict(json.loads((tmp_path / "m" / "model.json").read_text()))
+        norm = json.loads((tmp_path / "m" / "norm.json").read_text())
+        test_ds = load_trials(test_data)
+        X = ev.feature_tensor(test_ds, FeatureSet.parse(",".join(norm["channel_names"])))
+        pred = family.predict(model, (X - np.array(norm["mean"])) / np.array(norm["std"]))
+        confusion = np.zeros((4, 4), dtype=np.int64)
+        np.add.at(confusion, ([class_index(t.label) for t in test_ds.trials], pred), 1)
+        report = json.loads((tmp_path / "xd" / "report.json").read_text())
+        assert confusion.tolist() == report["confusion"]
+
 
 class TestEvaluate:
     def test_artifacts(self, eval_dir):
@@ -164,6 +194,16 @@ class TestEvaluate:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "evaluate run" in capsys.readouterr().err
+
+    def test_missing_item_is_named(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        assert main(["synth", "--per-class", "3", "--seed", "1",
+                     "--out", str(data)]) == 0
+        rc = main(["evaluate", "--data", str(data), "--clf", "hmm",
+                   "--per-item", "--k", "3", "--max-iter", "2",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "fold 0: no training data for class grape" in capsys.readouterr().err
 
     def test_states_sweep_requires_hmm(self, data_file, tmp_path, capsys):
         rc = main(["evaluate", "--data", str(data_file), "--clf", "svm",

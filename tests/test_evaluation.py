@@ -39,13 +39,11 @@ class RecordingTrainer:
         self.train_hashes = {}
         self.sizes = {}
 
-    def __call__(self, train_fms, y, n_labels, test_fms, seed, params):
-        h = hashlib.sha256()
-        for fm in train_fms:
-            h.update(fm.values.tobytes())
+    def __call__(self, X_train, y, labels, X_test, seed, params):
+        h = hashlib.sha256(np.ascontiguousarray(X_train).tobytes())
         self.train_hashes[seed] = h.hexdigest()
-        self.sizes[seed] = (len(train_fms), len(test_fms))
-        return [self.prediction] * len(test_fms)
+        self.sizes[seed] = (len(X_train), len(X_test))
+        return [self.prediction] * len(X_test)
 
 
 class TestKfoldSplit:

@@ -6,22 +6,24 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from haptix.core import CLASS_ORDER, ComplianceClass
+from haptix.core import CLASS_ORDER, ComplianceClass, class_index
 from haptix.errors import DimensionMismatch, EmptyTrainingSet, MissingClass
 from haptix.hmm import (
     VARIANCE_FLOOR,
-    HmmClassifier,
     HmmModel,
     baum_welch,
-    classify_hmm,
+    fit,
     forward_loglik,
-    load_hmm_classifier,
+    from_dict,
     model_from_dict,
     model_to_dict,
-    save_hmm_classifier,
-    train_hmm_classifier,
+    predict,
+    save_model,
+    to_dict,
 )
 from haptix.preprocess import FeatureMatrix
+
+CLASS_LABELS = tuple(c.label for c in CLASS_ORDER)
 
 
 def random_model(rng, K, F):
@@ -204,54 +206,63 @@ class TestBaumWelch:
         assert model.channel_names == ("fx", "fz")
 
 
+def tensor_of(fms):
+    """(N, G, F) values and class indices of labelled feature matrices."""
+    return (np.stack([fm.values for fm in fms]),
+            np.array([class_index(fm.label) for fm in fms]))
+
+
 class TestClassifier:
     @staticmethod
     def _delta_classifier(centers):
-        models = {}
-        for c, mu in centers.items():
-            models[c] = HmmModel(
+        return {
+            c.label: HmmModel(
                 A=np.array([[1.0]]), pi=np.array([1.0]),
                 means=np.array([[mu]]), variances=np.array([[0.5]]),
             )
-        return HmmClassifier(models=models)
+            for c, mu in centers.items()
+        }
 
     def test_picks_nearest_center(self):
-        clf = self._delta_classifier({
+        model = self._delta_classifier({
             ComplianceClass.HARD_SKIN: 9.0,
             ComplianceClass.HARD: 6.0,
             ComplianceClass.MEDIUM: 3.0,
             ComplianceClass.SOFT: 0.0,
         })
-        pred, scores = classify_hmm(clf, np.full((5, 1), 3.2))
-        assert pred is ComplianceClass.MEDIUM
-        assert set(scores) == set(CLASS_ORDER)
-        assert scores[ComplianceClass.MEDIUM] == max(scores.values())
+        obs = np.full((5, 1), 3.2)
+        pred = predict(model, obs[None])
+        assert CLASS_LABELS[pred[0]] == ComplianceClass.MEDIUM.label
+        scores = {label: forward_loglik(m, obs) for label, m in model.items()}
+        assert set(scores) == set(CLASS_LABELS)
+        assert scores[ComplianceClass.MEDIUM.label] == max(scores.values())
 
     def test_exact_tie_goes_to_reporting_order(self):
-        clf = self._delta_classifier({c: 1.0 for c in CLASS_ORDER})
-        pred, _ = classify_hmm(clf, np.zeros((3, 1)))
-        assert pred is ComplianceClass.HARD_SKIN
+        model = self._delta_classifier({c: 1.0 for c in CLASS_ORDER})
+        pred = predict(model, np.zeros((1, 3, 1)))
+        assert CLASS_LABELS[pred[0]] == ComplianceClass.HARD_SKIN.label
 
     def test_mixed_model_shapes_rejected(self):
         a = random_model(np.random.default_rng(0), 2, 1)
         b = random_model(np.random.default_rng(1), 3, 1)
+        payload = json.loads(json.dumps(to_dict({"hard": a, "soft": b})))
         with pytest.raises(ValueError):
-            HmmClassifier(models={ComplianceClass.HARD: a,
-                                  ComplianceClass.SOFT: b})
+            from_dict(payload)
 
     def test_missing_class_rejected(self, tiny_fms):
-        train = [fm for fm in tiny_fms if fm.label is not ComplianceClass.SOFT]
-        with pytest.raises(MissingClass):
-            train_hmm_classifier(train, K=2, max_iter=5)
+        X, y = tensor_of([fm for fm in tiny_fms
+                          if fm.label is not ComplianceClass.SOFT])
+        with pytest.raises(MissingClass, match="soft"):
+            fit(X, y, CLASS_LABELS, 0, {"states": 2, "max_iter": 5})
 
     def test_unlabeled_matrix_rejected(self):
-        fm = FeatureMatrix(values=np.zeros((4, 1)), channel_names=("fz",))
         with pytest.raises(ValueError):
-            train_hmm_classifier([fm], K=1)
+            fit(np.zeros((1, 4, 1)), [], CLASS_LABELS, 0, {"states": 1})
 
     def test_self_classification_on_synthetic_features(self, tiny_fms):
-        clf = train_hmm_classifier(tiny_fms, K=2, max_iter=30)
-        hits = sum(classify_hmm(clf, fm)[0] is fm.label for fm in tiny_fms)
+        X, y = tensor_of(tiny_fms)
+        model = fit(X, y, CLASS_LABELS, 0, {"states": 2, "max_iter": 30})
+        hits = np.sum(predict(model, X) == y)
         assert hits / len(tiny_fms) >= 0.9
 
 
@@ -265,13 +276,16 @@ class TestSerialization:
         np.testing.assert_array_equal(back.variances, m.variances)
 
     def test_classifier_file_round_trip(self, tmp_path, tiny_fms):
-        clf = train_hmm_classifier(tiny_fms, K=2, max_iter=5)
+        X, y = tensor_of(tiny_fms)
+        model = fit(X, y, CLASS_LABELS, 0,
+                    {"states": 2, "max_iter": 5, "channel_names": ("fz",)})
         p = tmp_path / "hmm.json"
-        save_hmm_classifier(clf, p)
+        save_model(model, p)
         assert json.loads(p.read_text())["kind"] == "hmm"
-        back = load_hmm_classifier(p)
-        assert set(back.models) == set(clf.models)
-        for c in clf.models:
-            np.testing.assert_array_equal(back.models[c].means,
-                                          clf.models[c].means)
-            assert back.models[c].channel_names == clf.models[c].channel_names
+        back = from_dict(json.loads(p.read_text()))
+        assert set(back) == set(model)
+        for label in model:
+            np.testing.assert_array_equal(back[label].means,
+                                          model[label].means)
+            assert back[label].channel_names == model[label].channel_names
+            assert back[label].channel_names == ("fz",)

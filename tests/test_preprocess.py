@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_trial, ramp_trial
 from haptix.errors import (
@@ -136,6 +138,58 @@ class TestDetectContact:
             detect_contact(tr, threshold=0.0)
         with pytest.raises(ValueError):
             detect_contact(tr, hold=-0.1)
+
+    def test_nan_hold_rejected(self):
+        with pytest.raises(ValueError):
+            detect_contact(ramp_trial(), hold=float("nan"))
+
+    @staticmethod
+    def _scan(trial, threshold, hold):
+        """Reference: try every above-threshold sample in turn and mask the
+        whole trace for its hold window. None when there is no contact."""
+        t = trial.wrench[:, 0]
+        above = np.linalg.norm(trial.wrench[:, 1:4], axis=1) >= threshold
+        for i in np.flatnonzero(above):
+            ti = t[i]
+            if ti + hold > t[-1]:
+                break
+            window = (t >= ti) & (t <= ti + hold)
+            if np.all(above[window]):
+                return float(ti)
+        return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_scan_on_random_and_near_threshold_traces(self, data):
+        n = data.draw(st.integers(2, 120), label="n")
+        steps = data.draw(st.lists(st.floats(1e-4, 0.05), min_size=n - 1,
+                                   max_size=n - 1), label="steps")
+        t = np.concatenate([[data.draw(st.floats(0.0, 1.0))], steps]).cumsum()
+        if np.any(np.diff(t) <= 0.0):
+            return  # rounding merged two timestamps; not a valid trace
+        threshold = 0.5
+        if data.draw(st.booleans(), label="near threshold"):
+            levels = [0.0, np.nextafter(threshold, 0.0), threshold,
+                      np.nextafter(threshold, 1.0), 1.0]
+            fz = np.array(data.draw(st.lists(st.sampled_from(levels),
+                                             min_size=n, max_size=n)))
+            force = np.column_stack([0 * t, 0 * t, fz])
+        else:
+            force = np.array(data.draw(st.lists(
+                st.tuples(*[st.floats(-0.6, 0.6)] * 3), min_size=n, max_size=n)))
+        i, j = sorted(data.draw(st.tuples(st.integers(0, n - 1),
+                                          st.integers(0, n - 1))))
+        # a hold that ends exactly on a sample, or an arbitrary one
+        hold = data.draw(st.sampled_from([t[j] - t[i], 0.0])
+                         | st.floats(0.0, 0.3), label="hold")
+        wrench = np.column_stack([t, force, np.zeros((n, 3))])
+        tr = make_trial(wrench, np.column_stack([t, np.zeros((n, 6))]))
+        want = self._scan(tr, threshold, hold)
+        if want is None:
+            with pytest.raises(NoContact):
+                detect_contact(tr, threshold, hold)
+        else:
+            assert detect_contact(tr, threshold, hold) == want
 
 
 class TestExtractWindow:
