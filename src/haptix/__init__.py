@@ -48,7 +48,6 @@ from .evaluation import (
 from .hmm import HmmModel, baum_welch, forward_loglik
 from .nn import LstmModel, TcnModel, TrainConfig, cross_entropy, grad_check, softmax, train
 from .preprocess import (
-    FeatureMatrix,
     FeatureSet,
     NormStats,
     assemble_features,

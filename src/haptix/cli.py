@@ -20,7 +20,7 @@ from . import evaluation as ev
 from . import nn as nn_mod
 from .core import CLASS_ORDER, Source, class_index, load_trials, save_trials
 from .errors import DataError, NumericalError
-from .preprocess import FeatureSet, PreprocConfig
+from .preprocess import FeatureSet, PreprocConfig, fit_norm
 from .synthgen import GenConfig, generate
 
 
@@ -305,14 +305,12 @@ def _cmd_train(args) -> int:
     ds = load_trials(data)
     fs = FeatureSet.parse(cfg["features"])
     X = ev.feature_tensor(ds, fs, _preproc_from(cfg), cfg["delay"])
-    stats = ev.fit_norm_tensor(X, fs.channel_names)
+    stats = fit_norm(X, fs.channel_names)
     out = _outdir(args.out)
-    family = ev.FAMILIES[args.clf]
     params = ev.fit_params(ev.ClassifierSpec(args.clf, _params_from(cfg)), fs)
-    model = family.fit(ev.apply_norm(stats, X),
-                       [class_index(t.label) for t in ds.trials],
-                       ev.CLASS_LABELS, cfg["seed"], params)
-    family.save_model(model, out / "model.json")
+    model = ev.fit_model(stats.apply(X), [class_index(t.label) for t in ds.trials],
+                         ev.CLASS_LABELS, cfg["seed"], params)
+    ev.FAMILIES[args.clf].save_model(model, out / "model.json")
     curve = getattr(model, "loss_curve", None)
     if curve is not None:
         nn_mod.save_loss_curve(curve, out / "loss_curve.csv")

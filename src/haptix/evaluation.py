@@ -33,18 +33,11 @@ from .core import (
 from .errors import (
     DataError,
     DegenerateGroups,
-    DimensionMismatch,
     HaptixError,
+    MissingClass,
     TooFewTrials,
 )
-from .preprocess import (
-    FeatureMatrix,
-    FeatureSet,
-    NormStats,
-    PreprocConfig,
-    fit_norm,
-    prepare_trial,
-)
+from .preprocess import FeatureSet, PreprocConfig, fit_norm, prepare_trial
 
 CLASS_LABELS = tuple(c.label for c in CLASS_ORDER)
 _MSW_FLOOR = 1e-12
@@ -244,28 +237,28 @@ def fit_params(spec: ClassifierSpec, fs: FeatureSet) -> dict:
     return dict(spec.params, kind=spec.kind, channel_names=fs.channel_names)
 
 
+def fit_model(X, y, labels, seed, params):
+    """The fit of the family params["kind"] names, once every label has at
+    least one training trial; the first label without one raises
+    MissingClass."""
+    counts = np.bincount(np.asarray(y, dtype=np.int64), minlength=len(labels))
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        raise MissingClass(labels[missing[0]])
+    return FAMILIES[params["kind"]].fit(X, y, labels, seed, params)
+
+
 def _fit_predict(X_train, y, labels, X_test, seed, params):
-    family = FAMILIES[params["kind"]]
-    return family.predict(family.fit(X_train, y, labels, seed, params), X_test)
+    model = fit_model(X_train, y, labels, seed, params)
+    return FAMILIES[params["kind"]].predict(model, X_test)
 
 
 def feature_tensor(ds: Dataset, fs: FeatureSet,
                    preproc: PreprocConfig = PreprocConfig(),
                    delay: float = DEFAULT_STREAM_DELAY) -> np.ndarray:
     """(N, G, F) features of every trial, in dataset order, not normalized."""
-    return np.stack([prepare_trial(align_streams(t, delay), fs, None, preproc).values
+    return np.stack([prepare_trial(align_streams(t, delay), fs, None, preproc)
                      for t in ds.trials])
-
-
-def fit_norm_tensor(X: np.ndarray, names: tuple) -> NormStats:
-    """fit_norm pooled over every grid row of every trial in X."""
-    return fit_norm([FeatureMatrix(X.reshape(-1, X.shape[2]), names)])
-
-
-def apply_norm(stats: NormStats, X: np.ndarray) -> np.ndarray:
-    """stats.apply on every grid row of every trial in X."""
-    rows = FeatureMatrix(X.reshape(-1, X.shape[2]), stats.channel_names)
-    return stats.apply(rows).values.reshape(X.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +300,7 @@ def run_cv(ds: Dataset, spec: ClassifierSpec, fs: FeatureSet, split: FoldSplit,
         test_idx = np.flatnonzero(fold_of == fold)
         if not train_idx.size or not test_idx.size:
             raise TooFewTrials("fold", 1, 0)
-        stats = fit_norm_tensor(X[train_idx], fs.channel_names)
-        Xn = apply_norm(stats, X)
+        Xn = fit_norm(X[train_idx], fs.channel_names).apply(X)
         fold_seed = split.seed * 100003 + fold * 17 + 1
         try:
             pred = fit(Xn[train_idx], y_all[train_idx], labels, Xn[test_idx],
@@ -386,11 +378,11 @@ def cross_domain_eval(train_ds: Dataset, test_ds: Dataset, spec: ClassifierSpec,
     fit = trainer if trainer is not None else _fit_predict
     X_train = feature_tensor(train_ds, fs, preproc, delay)
     X_test = feature_tensor(test_ds, fs, preproc, delay)
-    stats = fit_norm_tensor(X_train, fs.channel_names)
+    stats = fit_norm(X_train, fs.channel_names)
     y_train = np.array([class_index(t.label) for t in train_ds.trials])
     y_test = [class_index(t.label) for t in test_ds.trials]
-    pred = fit(apply_norm(stats, X_train), y_train, CLASS_LABELS,
-               apply_norm(stats, X_test), seed, fit_params(spec, fs))
+    pred = fit(stats.apply(X_train), y_train, CLASS_LABELS,
+               stats.apply(X_test), seed, fit_params(spec, fs))
     L = len(CLASS_ORDER)
     confusion = np.zeros((L, L), dtype=np.int64)
     hits = 0

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyTrainingSet, MissingClass
+from .errors import DimensionMismatch, EmptyTrainingSet
 
 VARIANCE_FLOOR = 1e-6
 _STOCHASTIC_TOL = 1e-9
@@ -33,8 +33,7 @@ def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
 
 
 def _obs_values(obs) -> np.ndarray:
-    values = getattr(obs, "values", obs)
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(obs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValueError(f"observations must be (T, F) with T >= 1, got {arr.shape}")
     return arr
@@ -179,9 +178,6 @@ def baum_welch(trials: Sequence, K: int = 3, max_iter: int = 100,
             )
     if K < 1:
         raise ValueError("K must be >= 1")
-    if channel_names is None:
-        names = getattr(trials[0], "channel_names", None)
-        channel_names = tuple(names) if names is not None else None
 
     A, means, variances = _init_params(seqs, K, seed)
     pi = _uniform_pi(K)
@@ -263,6 +259,8 @@ def fit(X, y, labels, seed, params) -> dict:
     label to its model, in label order. Training starts from the
     deterministic initialization, so seed is unused. params: states,
     max_iter, tol, estimate_pi, and channel_names to record in the models.
+    A label without trials raises EmptyTrainingSet; evaluation.fit_model
+    names it first.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -270,11 +268,8 @@ def fit(X, y, labels, seed, params) -> dict:
         raise ValueError("need one label index per trial")
     models = {}
     for k, label in enumerate(labels):
-        group = X[y == k]
-        if not len(group):
-            raise MissingClass(label)
         models[label] = baum_welch(
-            group, K=int(params.get("states", 3)),
+            X[y == k], K=int(params.get("states", 3)),
             max_iter=int(params.get("max_iter", 100)),
             tol=float(params.get("tol", 1e-4)),
             estimate_pi=bool(params.get("estimate_pi", False)),

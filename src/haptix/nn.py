@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .core import class_index
 from .errors import DimensionMismatch, NonFiniteLoss
 
 PROB_CLAMP = 1e-12
@@ -57,8 +56,7 @@ def _batch_ce(logits: np.ndarray, y: np.ndarray):
 
 
 def _as_batch(x) -> np.ndarray:
-    values = getattr(x, "values", x)
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[None]
     if arr.ndim != 3:
@@ -156,9 +154,8 @@ class TcnModel:
 
     def forward(self, x) -> np.ndarray:
         """Logits for a (T, F) matrix or (B, T, F) batch."""
-        xb = _as_batch(x)
-        logits, _ = self._forward(xb)
-        return logits[0] if np.asarray(getattr(x, "values", x)).ndim == 2 else logits
+        logits, _ = self._forward(_as_batch(x))
+        return logits[0] if np.ndim(x) == 2 else logits
 
     def loss(self, x, y) -> float:
         logits, _ = self._forward(_as_batch(x))
@@ -279,11 +276,10 @@ class LstmModel:
         return logits, (caches, relu_in, hrelu)
 
     def forward(self, x) -> np.ndarray:
-        xb = _as_batch(x)
-        logits, _ = self._forward(xb)
+        logits, _ = self._forward(_as_batch(x))
         if self.per_step:
             logits = logits.mean(axis=1)
-        return logits[0] if np.asarray(getattr(x, "values", x)).ndim == 2 else logits
+        return logits[0] if np.ndim(x) == 2 else logits
 
     def _head_loss(self, logits, y):
         if not self.per_step:
@@ -367,28 +363,16 @@ class LstmModel:
         }
 
 
-def _labels_from(data: Sequence, labels) -> np.ndarray:
-    if labels is not None:
-        return np.asarray(labels, dtype=np.int64)
-    out = []
-    for fm in data:
-        if fm.label is None:
-            raise ValueError("training matrices must carry labels")
-        out.append(class_index(fm.label))
-    return np.asarray(out, dtype=np.int64)
-
-
-def train(model, data: Sequence, cfg: TrainConfig = TrainConfig(),
-          labels=None):
+def train(model, data, cfg: TrainConfig = TrainConfig(), *, labels):
     """Mini-batch cross-entropy training; returns (model, per-epoch mean loss).
 
-    labels may override the FeatureMatrix labels with integer class indices
-    (0-based, in the model's output order).
+    data is an (N, T, F) batch (or N (T, F) matrices); labels holds the N
+    integer class indices (0-based, in the model's output order).
     """
-    X = np.stack([np.asarray(getattr(fm, "values", fm), dtype=np.float64) for fm in data])
-    y = _labels_from(data, labels)
-    if X.shape[0] != y.shape[0] or X.shape[0] == 0:
-        raise ValueError("data and labels must be non-empty and aligned")
+    X = np.asarray(data, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if X.ndim != 3 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
+        raise ValueError("data must be (N, T, F), non-empty and aligned with labels")
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
     state = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in model.params.items()}
@@ -462,16 +446,13 @@ def grad_check(model, sample, eps: float = 1e-5, n_coords: int = 200,
                seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Checks a random subset of at least n_coords parameter coordinates (all of
-    them if the model is smaller); denominator floored at 1e-8.
+    sample is an (x, y) pair: a (T, F) matrix and its class index. Checks a
+    random subset of at least n_coords parameter coordinates (all of them if
+    the model is smaller); denominator floored at 1e-8.
     """
     if not (1e-6 <= eps <= 1e-4):
         raise ValueError("eps must lie in [1e-6, 1e-4]")
-    if hasattr(sample, "values"):
-        x = sample.values
-        y = class_index(sample.label) if sample.label is not None else 0
-    else:
-        x, y = sample
+    x, y = sample
     X = _as_batch(x)
     yb = np.asarray([int(y)])
     _, grads = model.loss_and_grads(X, yb)

@@ -7,12 +7,12 @@ All functions are pure; identical inputs give bitwise-identical outputs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import ComplianceClass, Trial
+from .core import Trial
 from .errors import (
     DegenerateSeries,
     DegenerateStream,
@@ -127,47 +127,6 @@ class FeatureSet:
         return base + ("+deriv" if self.derivatives else "")
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureMatrix:
-    """Grid of normalized feature values, one column per channel."""
-
-    values: np.ndarray
-    channel_names: tuple[str, ...]
-    label: Optional[ComplianceClass] = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"values must be 2-D, got shape {v.shape}")
-        if v.shape[1] != len(self.channel_names):
-            raise ValueError(
-                f"{v.shape[1]} columns vs {len(self.channel_names)} channel names"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("feature matrix contains non-finite values")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "channel_names", tuple(self.channel_names))
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FeatureMatrix):
-            return NotImplemented
-        return (
-            self.channel_names == other.channel_names
-            and self.label == other.label
-            and np.array_equal(self.values, other.values)
-        )
-
-
 @dataclass(frozen=True)
 class NormStats:
     """Per-channel mean/std fitted on training data only."""
@@ -189,17 +148,23 @@ class NormStats:
         object.__setattr__(self, "std", std)
         object.__setattr__(self, "channel_names", tuple(self.channel_names))
 
-    def apply(self, fm: FeatureMatrix) -> FeatureMatrix:
-        if fm.channel_names != self.channel_names:
+    def apply(self, X) -> np.ndarray:
+        """(X - mean) / std along the last axis of X: a (G, F) trial or an
+        (N, G, F) tensor with one column per normalization channel."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.shape[-1:] != self.mean.shape:
             raise DimensionMismatch(
-                f"feature channels {fm.channel_names} do not match "
-                f"normalization channels {self.channel_names}"
+                f"features of shape {X.shape} do not match normalization "
+                f"channels {self.channel_names}"
             )
-        return FeatureMatrix(
-            values=(fm.values - self.mean) / self.std,
-            channel_names=fm.channel_names,
-            label=fm.label,
-        )
+        out = (X - self.mean) / self.std
+        _check_finite(out)
+        return out
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("feature matrix contains non-finite values")
 
 
 class WindowedTrial(NamedTuple):
@@ -320,28 +285,27 @@ def first_derivative(grid_values, dt: float) -> np.ndarray:
     return np.gradient(v, dt, edge_order=2)
 
 
-def fit_norm(train: Sequence[FeatureMatrix]) -> NormStats:
-    """Per-channel mean/std pooled over all rows of all training matrices."""
-    train = list(train)
-    if not train:
-        raise EmptyTrainingSet("fit_norm requires at least one feature matrix")
-    names = train[0].channel_names
-    for fm in train[1:]:
-        if fm.channel_names != names:
-            raise DimensionMismatch(
-                f"mixed channel sets in training data: {fm.channel_names} vs {names}"
-            )
-    pooled = np.concatenate([fm.values for fm in train], axis=0)
-    mean = pooled.mean(axis=0)
-    std = pooled.std(axis=0)
-    std = np.maximum(std, STD_FLOOR)
-    return NormStats(mean=mean, std=std, channel_names=names)
+def fit_norm(X, channel_names) -> NormStats:
+    """Per-channel mean/std pooled over every row of X, whose last axis holds
+    one column per channel: a (G, F) trial or an (N, G, F) tensor."""
+    X = np.asarray(X, dtype=np.float64)
+    names = tuple(channel_names)
+    if not X.size:
+        raise EmptyTrainingSet("fit_norm requires at least one feature row")
+    if X.shape[-1:] != (len(names),):
+        raise DimensionMismatch(
+            f"features of shape {X.shape} vs {len(names)} channel names"
+        )
+    rows = X.reshape(-1, len(names))
+    std = np.maximum(rows.std(axis=0), STD_FLOOR)
+    return NormStats(mean=rows.mean(axis=0), std=std, channel_names=names)
 
 
 def assemble_features(trial: Trial, fs: FeatureSet,
                       stats: Optional[NormStats] = None,
-                      n: int = GRID_STEPS) -> FeatureMatrix:
-    """Resample each selected channel to the n-grid and stack columns.
+                      n: int = GRID_STEPS) -> np.ndarray:
+    """Resample each selected channel to the n-grid and stack the columns
+    into an (n, F) array ordered like fs.channel_names.
 
     Derivative channels (when enabled) are computed on the grid from the
     resampled values; z-scoring is applied only when stats is given.
@@ -358,11 +322,10 @@ def assemble_features(trial: Trial, fs: FeatureSet,
             span = stream[-1, 0] - stream[0, 0]
             derivs.append(first_derivative(vals, span / (n - 1)))
     values = np.column_stack(cols + derivs)
-    fm = FeatureMatrix(values=values, channel_names=fs.channel_names,
-                       label=trial.label)
+    _check_finite(values)
     if stats is not None:
-        fm = stats.apply(fm)
-    return fm
+        values = stats.apply(values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -386,7 +349,7 @@ class PreprocConfig:
 
 def prepare_trial(trial: Trial, fs: FeatureSet,
                   stats: Optional[NormStats] = None,
-                  cfg: PreprocConfig = PreprocConfig()) -> FeatureMatrix:
+                  cfg: PreprocConfig = PreprocConfig()) -> np.ndarray:
     """Full chain: contact detection, windowing, gridding, normalization."""
     t0 = detect_contact(trial, cfg.threshold, cfg.hold)
     if cfg.duration is None:

@@ -26,8 +26,9 @@ from .errors import DimensionMismatch, SingleClassData
 
 
 def flatten(fm) -> np.ndarray:
-    """Concatenate channels into one vector: element 64*j + i is fm[i][j]."""
-    values = np.asarray(getattr(fm, "values", fm), dtype=np.float64)
+    """Concatenate the channels of a (G, F) feature matrix into one vector:
+    element G*j + i is fm[i][j]."""
+    values = np.asarray(fm, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-D feature matrix, got shape {values.shape}")
     return values.T.ravel().copy()
@@ -140,7 +141,7 @@ def train_svm(X, y, C: float = 1.0, epochs: int = 200, seed: int = 0,
 
 def predict_svm(model: SvmModel, x):
     """(winning class, per-class scores); first class wins ties."""
-    v = np.asarray(getattr(x, "values", x), dtype=np.float64)
+    v = np.asarray(x, dtype=np.float64)
     if v.ndim == 2:
         v = flatten(v)
     if v.shape != (model.W.shape[1],):

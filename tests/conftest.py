@@ -56,11 +56,13 @@ def small_ds():
 
 @pytest.fixture(scope="session")
 def tiny_fms(small_ds):
-    """Normalized fz-only feature matrices for the 36-trial dataset."""
-    from haptix.core import align_streams
+    """Normalized fz-only features of the 36-trial dataset: the (N, 64, 1)
+    tensor and the class index of each trial."""
+    from haptix.core import align_streams, class_index
     from haptix.preprocess import FeatureSet, fit_norm, prepare_trial
 
     fs = FeatureSet.parse("fz")
-    raw = [prepare_trial(align_streams(t, 0.030), fs) for t in small_ds.trials]
-    stats = fit_norm(raw)
-    return [stats.apply(fm) for fm in raw]
+    raw = np.stack([prepare_trial(align_streams(t, 0.030), fs)
+                    for t in small_ds.trials])
+    y = np.array([class_index(t.label) for t in small_ds.trials])
+    return fit_norm(raw, fs.channel_names).apply(raw), y

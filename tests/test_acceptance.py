@@ -166,10 +166,10 @@ def test_criterion_04_preprocessing_exactness():
     ds = generate(GenConfig(trials_per_class=5, noise_std=0.05, seed=21))
     fs = FeatureSet.parse("all")
     cfg = PreprocConfig()
-    raw = [prepare_trial(align_streams(tr, 0.030), fs, None, cfg)
-           for tr in ds.trials]
-    stats = fit_norm(raw)
-    pooled = np.concatenate([stats.apply(fm).values for fm in raw], axis=0)
+    raw = np.stack([prepare_trial(align_streams(tr, 0.030), fs, None, cfg)
+                    for tr in ds.trials])
+    stats = fit_norm(raw, fs.channel_names)
+    pooled = stats.apply(raw).reshape(-1, len(fs.channel_names))
     mom_err = max(np.max(np.abs(pooled.mean(axis=0))),
                   np.max(np.abs(pooled.std(axis=0) - 1.0)))
 

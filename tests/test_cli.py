@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import haptix
+from conftest import make_trial
 from haptix import evaluation as ev
 from haptix.cli import main
-from haptix.core import Source, class_index, load_trials
+from haptix.core import (ComplianceClass, Dataset, Source, class_index,
+                         load_trials, save_trials)
 from haptix.preprocess import FeatureSet
 
 SUMMARY_RE = re.compile(r"^(\w+) (\S+) (\d\.\d{4}) ± (\d\.\d{4})$")
@@ -151,6 +153,19 @@ class TestTrain:
         report = json.loads((tmp_path / "xd" / "report.json").read_text())
         assert confusion.tolist() == report["confusion"]
 
+    @pytest.mark.parametrize("clf", ["svm", "hmm", "tcn", "lstm"])
+    def test_missing_class_rejected(self, clf, data_file, tmp_path, capsys):
+        ds = load_trials(data_file)
+        data = tmp_path / "no-soft.jsonl"
+        save_trials(Dataset(tuple(t for t in ds.trials
+                                  if t.label is not ComplianceClass.SOFT)), data)
+        out = tmp_path / "m"
+        rc = main(["train", "--data", str(data), "--clf", clf, "--features", "fz",
+                   "--epochs", "2", "--max-iter", "2", "--out", str(out)])
+        assert rc == 2
+        assert "no training data for class soft" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
 
 class TestEvaluate:
     def test_artifacts(self, eval_dir):
@@ -204,6 +219,26 @@ class TestEvaluate:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "fold 0: no training data for class grape" in capsys.readouterr().err
+
+    def test_non_finite_features_exit_1(self, data_file, tmp_path, capsys):
+        # finite samples whose grid overflows: fz alternates +-1e308 after contact
+        ds = load_trials(data_file)
+        first = ds.trials[0]
+        wrench = first.wrench.copy()
+        sign = np.where(np.arange(wrench.shape[0]) % 2 == 0, 1.0, -1.0)
+        after = wrench[:, 0] >= 0.5
+        wrench[after, 3] = 1e308 * sign[after]
+        bad = make_trial(wrench, first.pose, label=first.label,
+                         item=first.food_item, trial_id=first.id,
+                         subject=first.subject, session=first.session)
+        data = tmp_path / "overflow.jsonl"
+        save_trials(Dataset((bad,) + ds.trials[1:]), data)
+        with np.errstate(all="ignore"):
+            rc = main(["evaluate", "--data", str(data), "--clf", "svm",
+                       "--features", "fz+deriv", "--epochs", "2",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "non-finite" in capsys.readouterr().err
 
     def test_states_sweep_requires_hmm(self, data_file, tmp_path, capsys):
         rc = main(["evaluate", "--data", str(data_file), "--clf", "svm",

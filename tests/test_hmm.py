@@ -21,7 +21,7 @@ from haptix.hmm import (
     save_model,
     to_dict,
 )
-from haptix.preprocess import FeatureMatrix
+from haptix.evaluation import fit_model
 
 CLASS_LABELS = tuple(c.label for c in CLASS_ORDER)
 
@@ -126,10 +126,10 @@ class TestForwardLoglik:
             obs = rng.normal(0.0, 1.0, size=(6, F))
             assert forward_loglik(m, obs) <= forward_loglik(m, obs[:5]) + 1e-9
 
-    def test_accepts_feature_matrix(self):
-        m = random_model(np.random.default_rng(1), 2, 2)
-        fm = FeatureMatrix(values=np.zeros((4, 2)), channel_names=("fx", "fz"))
-        assert math.isfinite(forward_loglik(m, fm))
+    def test_accepts_feature_matrix(self, tiny_fms):
+        m = random_model(np.random.default_rng(1), 2, 1)
+        X, _ = tiny_fms
+        assert math.isfinite(forward_loglik(m, X[0]))
 
     def test_channel_mismatch(self):
         m = random_model(np.random.default_rng(1), 2, 2)
@@ -199,18 +199,6 @@ class TestBaumWelch:
         with pytest.raises(ValueError):
             baum_welch([np.zeros((5, 1))], K=0)
 
-    def test_channel_names_taken_from_matrices(self):
-        fms = [FeatureMatrix(values=np.random.default_rng(i).normal(size=(8, 2)),
-                             channel_names=("fx", "fz")) for i in range(3)]
-        model = baum_welch(fms, K=2, max_iter=5)
-        assert model.channel_names == ("fx", "fz")
-
-
-def tensor_of(fms):
-    """(N, G, F) values and class indices of labelled feature matrices."""
-    return (np.stack([fm.values for fm in fms]),
-            np.array([class_index(fm.label) for fm in fms]))
-
 
 class TestClassifier:
     @staticmethod
@@ -250,20 +238,21 @@ class TestClassifier:
             from_dict(payload)
 
     def test_missing_class_rejected(self, tiny_fms):
-        X, y = tensor_of([fm for fm in tiny_fms
-                          if fm.label is not ComplianceClass.SOFT])
+        X, y = tiny_fms
+        keep = y != class_index(ComplianceClass.SOFT)
         with pytest.raises(MissingClass, match="soft"):
-            fit(X, y, CLASS_LABELS, 0, {"states": 2, "max_iter": 5})
+            fit_model(X[keep], y[keep], CLASS_LABELS, 0,
+                      {"kind": "hmm", "states": 2, "max_iter": 5})
 
     def test_unlabeled_matrix_rejected(self):
         with pytest.raises(ValueError):
             fit(np.zeros((1, 4, 1)), [], CLASS_LABELS, 0, {"states": 1})
 
     def test_self_classification_on_synthetic_features(self, tiny_fms):
-        X, y = tensor_of(tiny_fms)
+        X, y = tiny_fms
         model = fit(X, y, CLASS_LABELS, 0, {"states": 2, "max_iter": 30})
         hits = np.sum(predict(model, X) == y)
-        assert hits / len(tiny_fms) >= 0.9
+        assert hits / len(y) >= 0.9
 
 
 class TestSerialization:
@@ -276,7 +265,7 @@ class TestSerialization:
         np.testing.assert_array_equal(back.variances, m.variances)
 
     def test_classifier_file_round_trip(self, tmp_path, tiny_fms):
-        X, y = tensor_of(tiny_fms)
+        X, y = tiny_fms
         model = fit(X, y, CLASS_LABELS, 0,
                     {"states": 2, "max_iter": 5, "channel_names": ("fz",)})
         p = tmp_path / "hmm.json"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from haptix.core import ComplianceClass
+from conftest import ramp_trial
+from haptix.core import ComplianceClass, class_index
 from haptix.errors import DimensionMismatch, NonFiniteLoss
 from haptix.nn import (
     LstmModel,
@@ -20,7 +21,7 @@ from haptix.nn import (
     softmax,
     train,
 )
-from haptix.preprocess import FeatureMatrix
+from haptix.preprocess import FeatureSet, prepare_trial
 
 
 def blob_features(rng, n_per_class=10, grid=16, channels=1, levels=(-1.0, 1.0)):
@@ -130,8 +131,8 @@ class TestTcnForward:
         assert batch.shape == (3, 4)
 
     def test_forward_accepts_feature_matrix(self):
-        m = TcnModel(in_channels=2, channels=4, depth=1, grid=16)
-        fm = FeatureMatrix(values=np.zeros((16, 2)), channel_names=("fx", "fz"))
+        m = TcnModel(in_channels=2, channels=4, depth=1, grid=64)
+        fm = prepare_trial(ramp_trial(n=180), FeatureSet.parse("fx+fz"))
         assert m.forward(fm).shape == (4,)
 
 
@@ -232,10 +233,8 @@ class TestGradients:
 
     def test_accepts_labeled_feature_matrix(self):
         m = TcnModel(in_channels=1, n_classes=4, channels=4, depth=1, grid=16)
-        fm = FeatureMatrix(
-            values=np.random.default_rng(10).standard_normal((16, 1)),
-            channel_names=("fz",), label=ComplianceClass.MEDIUM)
-        assert grad_check(m, fm) < 1e-4
+        fm = np.random.default_rng(10).standard_normal((16, 1))
+        assert grad_check(m, (fm, class_index(ComplianceClass.MEDIUM))) < 1e-4
 
     def test_eps_range_enforced(self):
         m = TcnModel(in_channels=1, depth=0, grid=16)
@@ -297,22 +296,13 @@ class TestTraining:
         for k in before:
             np.testing.assert_array_equal(m.params[k], before[k])
 
-    def test_labels_from_feature_matrices(self):
-        rng = np.random.default_rng(16)
-        fms = [
-            FeatureMatrix(values=rng.standard_normal((16, 1)),
-                          channel_names=("fz",), label=c)
-            for c in (ComplianceClass.HARD_SKIN, ComplianceClass.SOFT) * 3
-        ]
-        m = TcnModel(in_channels=1, n_classes=4, depth=0, grid=16)
-        _, curve = train(m, fms, TrainConfig(epochs=2))
-        assert len(curve) == 2
-
     def test_unlabeled_matrices_rejected(self):
-        fm = FeatureMatrix(values=np.zeros((16, 1)), channel_names=("fz",))
+        fm = np.zeros((16, 1))
         m = TcnModel(in_channels=1, n_classes=2, depth=0, grid=16)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             train(m, [fm], TrainConfig(epochs=1))
+        with pytest.raises(ValueError):
+            train(m, [fm], TrainConfig(epochs=1), labels=[])
 
     def test_exploding_loss_reported(self):
         rng = np.random.default_rng(17)

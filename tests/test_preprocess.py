@@ -13,7 +13,6 @@ from haptix.errors import (
 )
 from haptix.preprocess import (
     ALL_CHANNELS,
-    FeatureMatrix,
     FeatureSet,
     NormStats,
     PreprocConfig,
@@ -305,67 +304,92 @@ class TestFirstDerivative:
             first_derivative(np.array([1.0, 2.0, 3.0]), 0.0)
 
 
+def alternating_overflow_trial():
+    """Finite input whose grid and derivative overflow: fz alternates
+    +-1e308 from contact on."""
+    tr = ramp_trial(n=180, rate=120.0)
+    wrench = tr.wrench.copy()
+    after = wrench[:, 0] >= 0.2
+    sign = np.where(np.arange(wrench.shape[0]) % 2 == 0, 1.0, -1.0)
+    wrench[after, 3] = sign[after] * 1e308
+    return make_trial(wrench, tr.pose)
+
+
 class TestFeatureMatrix:
     def test_shape_checked_against_names(self):
         with pytest.raises(ValueError):
-            FeatureMatrix(values=np.zeros((4, 2)), channel_names=("fz",))
+            NormStats(mean=np.zeros(2), std=np.ones(2), channel_names=("fz",))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            FeatureMatrix(values=np.array([[np.inf]]), channel_names=("fz",))
+        trial = alternating_overflow_trial()
+        assert np.all(np.isfinite(trial.wrench))
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                prepare_trial(trial, FeatureSet.parse("fz+deriv"))
 
-    def test_values_read_only(self):
-        fm = FeatureMatrix(values=np.zeros((4, 1)), channel_names=("fz",))
-        with pytest.raises(ValueError):
-            fm.values[0, 0] = 1.0
+
+def per_trial_norm(X):
+    """Oracle: moments of the trials concatenated one by one, and each
+    trial normalized on its own."""
+    pooled = np.concatenate(list(X), axis=0)
+    mean = pooled.mean(axis=0)
+    std = np.maximum(pooled.std(axis=0), 1e-8)
+    return mean, std, np.stack([(x - mean) / std for x in X])
 
 
 class TestNormalization:
     @staticmethod
     def _matrices(rng, k=5, rows=64, names=("fx", "fz")):
-        return [
-            FeatureMatrix(
-                values=rng.normal(3.0, 2.5, size=(rows, len(names))),
-                channel_names=names,
-            )
-            for _ in range(k)
-        ]
+        return rng.normal(3.0, 2.5, size=(k, rows, len(names)))
 
     def test_pooled_moments_after_apply(self):
         rng = np.random.default_rng(2)
         train = self._matrices(rng)
-        stats = fit_norm(train)
-        pooled = np.concatenate([stats.apply(fm).values for fm in train])
+        stats = fit_norm(train, ("fx", "fz"))
+        pooled = stats.apply(train).reshape(-1, 2)
         np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(pooled.std(axis=0), 1.0, atol=1e-10)
 
     def test_constant_channel_floored(self):
-        fm = FeatureMatrix(values=np.full((8, 1), 7.0), channel_names=("fz",))
-        stats = fit_norm([fm])
+        values = np.full((8, 1), 7.0)
+        stats = fit_norm(values, ("fz",))
         assert stats.std[0] == pytest.approx(1e-8)
-        out = stats.apply(fm)
-        assert np.all(np.isfinite(out.values))
-        np.testing.assert_allclose(out.values, 0.0)
+        out = stats.apply(values)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, 0.0)
 
     def test_mixed_channels_rejected(self):
-        a = FeatureMatrix(values=np.zeros((4, 1)), channel_names=("fz",))
-        b = FeatureMatrix(values=np.zeros((4, 1)), channel_names=("fx",))
         with pytest.raises(DimensionMismatch):
-            fit_norm([a, b])
+            fit_norm(np.zeros((2, 4, 1)), ("fz", "fx"))
 
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
-            fit_norm([])
+            fit_norm(np.zeros((0, 64, 1)), ("fz",))
 
     def test_apply_checks_channels(self):
         stats = NormStats(mean=np.zeros(1), std=np.ones(1),
                           channel_names=("fz",))
-        fm = FeatureMatrix(values=np.zeros((4, 1)), channel_names=("fx",))
         with pytest.raises(DimensionMismatch):
-            stats.apply(fm)
+            stats.apply(np.zeros((4, 2)))
 
-    def test_label_survives_normalization(self, tiny_fms):
-        assert all(fm.label is not None for fm in tiny_fms)
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_tensor_matches_per_trial_oracle(self, data):
+        n = data.draw(st.integers(1, 6))
+        g = data.draw(st.integers(1, 9))
+        f = data.draw(st.integers(1, 4))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-3, 4, size=f)
+        X = rng.normal(0.0, 1.0, size=(n, g, f)) * scale + rng.normal(size=f)
+        if data.draw(st.booleans()):
+            X[..., rng.integers(f)] = rng.normal()   # one constant channel
+        names = tuple(f"c{j}" for j in range(f))
+        mean, std, normed = per_trial_norm(X)
+        stats = fit_norm(X, names)
+        assert np.array_equal(stats.mean, mean)
+        assert np.array_equal(stats.std, std)
+        assert np.array_equal(stats.apply(X), normed)
 
 
 class TestAssembleFeatures:
@@ -381,29 +405,30 @@ class TestAssembleFeatures:
 
     def test_channel_column_mapping(self):
         fm = assemble_features(self._constant_trial(), FeatureSet.parse("all"))
-        assert fm.values.shape == (64, 12)
+        assert fm.shape == (64, 12)
         expected = [1, 2, 3, 4, 5, 6, 7, 8, 9, 0.1, 0.2, 0.3]
         for j, val in enumerate(expected):
-            np.testing.assert_allclose(fm.values[:, j], val)
+            np.testing.assert_allclose(fm[:, j], val)
 
     def test_derivative_columns_follow_raw(self):
         fs = FeatureSet.parse("fz+deriv")
         fm = assemble_features(self._constant_trial(), fs)
-        assert fm.channel_names == ("fz", "dfz")
-        np.testing.assert_allclose(fm.values[:, 1], 0.0, atol=1e-12)
+        assert fs.channel_names == ("fz", "dfz")
+        assert fm.shape == (64, 2)
+        np.testing.assert_allclose(fm[:, 1], 0.0, atol=1e-12)
 
     def test_grid_size_override(self):
         fm = assemble_features(self._constant_trial(),
                                FeatureSet.parse("fz"), n=32)
-        assert fm.n_steps == 32
+        assert fm.shape == (32, 1)
 
 
 class TestPrepareTrial:
     def test_end_to_end_shape_and_label(self):
         tr = ramp_trial(n=180, rate=120.0)
         fm = prepare_trial(tr, FeatureSet.parse("all"))
-        assert fm.values.shape == (64, 12)
-        assert fm.label is tr.label
+        assert fm.shape == (64, 12)
+        assert fm.dtype == np.float64
 
     def test_full_phase_duration(self):
         tr = ramp_trial(n=180, rate=120.0)
@@ -411,15 +436,15 @@ class TestPrepareTrial:
         fm = prepare_trial(tr, FeatureSet.parse("py"), cfg=cfg)
         # pose descends linearly the whole trial; the grid must reach the
         # final height rather than stopping at the default 0.82 s window.
-        assert fm.values[-1, 0] == pytest.approx(tr.pose[-1, 2], abs=1e-6)
+        assert fm[-1, 0] == pytest.approx(tr.pose[-1, 2], abs=1e-6)
 
     def test_stats_applied_when_given(self):
         tr = ramp_trial(n=180, rate=120.0)
         fs = FeatureSet.parse("fz")
         raw = prepare_trial(tr, fs)
-        stats = fit_norm([raw])
+        stats = fit_norm(raw, fs.channel_names)
         normed = prepare_trial(tr, fs, stats)
-        np.testing.assert_allclose(normed.values, stats.apply(raw).values)
+        np.testing.assert_allclose(normed, stats.apply(raw))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

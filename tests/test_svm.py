@@ -6,7 +6,6 @@ from scipy import optimize
 
 from haptix.core import CLASS_ORDER, ComplianceClass
 from haptix.errors import DimensionMismatch, SingleClassData
-from haptix.preprocess import FeatureMatrix
 from haptix.svm import (
     SvmModel,
     flatten,
@@ -32,8 +31,7 @@ def blobs(rng, centers, per_class=20, spread=0.4):
 class TestFlatten:
     def test_column_major_layout(self):
         values = np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
-        fm = FeatureMatrix(values=values, channel_names=("fx", "fz"))
-        vec = flatten(fm)
+        vec = flatten(values)
         np.testing.assert_array_equal(vec, [1, 2, 3, 4, 5, 6])
         # element n_steps * j + i is grid step i of channel j
         n = values.shape[0]
@@ -182,7 +180,7 @@ class TestPredict:
                 assert predict_svm(model, x)[0] is predict_svm(scaled, x)[0]
 
     def test_accepts_feature_matrix(self):
-        fm = FeatureMatrix(values=np.ones((4, 2)), channel_names=("fx", "fz"))
+        fm = np.ones((4, 2))
         model = SvmModel(W=np.eye(2, 8), b=np.zeros(2), C=1.0,
                          classes=("a", "b"))
         pred, _ = predict_svm(model, fm)
