@@ -306,10 +306,10 @@ def _cmd_train(args) -> int:
     fs = FeatureSet.parse(cfg["features"])
     X = ev.feature_tensor(ds, fs, _preproc_from(cfg), cfg["delay"])
     stats = fit_norm(X, fs.channel_names)
-    out = _outdir(args.out)
     params = ev.fit_params(ev.ClassifierSpec(args.clf, _params_from(cfg)), fs)
     model = ev.fit_model(stats.apply(X), [class_index(t.label) for t in ds.trials],
                          ev.CLASS_LABELS, cfg["seed"], params)
+    out = _outdir(args.out)
     ev.FAMILIES[args.clf].save_model(model, out / "model.json")
     curve = getattr(model, "loss_curve", None)
     if curve is not None:
@@ -331,7 +331,6 @@ def _evaluate_with_cfg(cfg: dict) -> int:
     preproc = _preproc_from(cfg)
     split = ev.kfold_split(ds, cfg["k"], seed=cfg["seed"],
                            group_by=cfg.get("group_by"))
-    out = _outdir(cfg["out"])
     params = _params_from(cfg)
     sweep = cfg.get("states_sweep")
     if sweep:
@@ -345,6 +344,7 @@ def _evaluate_with_cfg(cfg: dict) -> int:
             lines.append(f"{states},{repr(report.mean_accuracy)},{repr(report.std_accuracy)}")
             print(f"hmm[K={states}] {report.feature_set} "
                   f"{report.mean_accuracy:.4f} ± {report.std_accuracy:.4f}")
+        out = _outdir(cfg["out"])
         (out / "states_sweep.csv").write_text("\n".join(lines) + "\n",
                                               encoding="utf-8")
         _write_run_json(cfg, out / "run.json")
@@ -352,6 +352,7 @@ def _evaluate_with_cfg(cfg: dict) -> int:
     spec = ev.ClassifierSpec(cfg["clf"], params)
     report = ev.run_cv(ds, spec, fs, split, preproc, cfg["delay"],
                        cfg["workers"], per_item=bool(cfg["per_item"]))
+    out = _outdir(cfg["out"])
     (out / "report.json").write_text(
         json.dumps(ev.report_to_dict(report), indent=2) + "\n", encoding="utf-8")
     ev.write_confusion_csv(report, out / "confusion.csv")

@@ -128,6 +128,14 @@ def wrap_angle(a: float) -> float:
     return a
 
 
+def _wrap_angles(a: np.ndarray) -> np.ndarray:
+    """wrap_angle elementwise over a finite array, in the same operation order
+    (np.round rounds half to even, as round does)."""
+    w = a - 2.0 * math.pi * np.round(a / (2.0 * math.pi))
+    w = np.where(w <= -math.pi, w + 2.0 * math.pi, w)
+    return np.where((-math.pi < a) & (a <= math.pi), a, w)
+
+
 def quaternion_to_fixed_xyz(qw: float, qx: float, qy: float, qz: float):
     """Convert a unit quaternion to fixed-axis XYZ rotation angles."""
     n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
@@ -240,6 +248,19 @@ def _parse_pose_row(row, lineno: int) -> list[float]:
     raise MalformedRecord(lineno, f"pose row has {len(row)} fields, expected 7 or 8")
 
 
+def _stream_array(rows, width: int):
+    """rows as one (n, width) float64 array when every value is a finite int
+    or float; None otherwise, and the row loop then converts or reports."""
+    try:
+        arr = np.asarray(rows)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.ndim != 2 or arr.shape[1] != width or arr.dtype.kind not in "fi":
+        return None
+    arr = arr.astype(np.float64)
+    return arr if np.isfinite(arr).all() else None
+
+
 def _trial_from_record(rec: dict, lineno: int) -> Trial:
     for key in ("id", "subject", "session", "food_item", "wrench", "pose"):
         if key not in rec:
@@ -264,19 +285,25 @@ def _trial_from_record(rec: dict, lineno: int) -> Trial:
             out.append(vals)
         return np.asarray(out, dtype=np.float64)
 
-    wrench = rows_to_array(rec["wrench"], 7, "wrench")
+    wrench = _stream_array(rec["wrench"], 7)
+    if wrench is None:
+        wrench = rows_to_array(rec["wrench"], 7, "wrench")
     pose_rows = rec["pose"]
     if not isinstance(pose_rows, list):
         raise MalformedRecord(lineno, "pose must be a list of rows")
-    pose = []
-    for row in pose_rows:
-        if not isinstance(row, (list, tuple)):
-            raise MalformedRecord(lineno, f"pose row must be a list: {row!r}")
-        vals = _parse_pose_row(row, lineno)
-        if not all(math.isfinite(v) for v in vals):
-            raise MalformedRecord(lineno, "pose row contains NaN/Inf")
-        pose.append(vals)
-    pose = np.asarray(pose, dtype=np.float64)
+    pose = _stream_array(pose_rows, 7)
+    if pose is not None:
+        pose[:, 4:] = _wrap_angles(pose[:, 4:])
+    else:
+        pose = []
+        for row in pose_rows:
+            if not isinstance(row, (list, tuple)):
+                raise MalformedRecord(lineno, f"pose row must be a list: {row!r}")
+            vals = _parse_pose_row(row, lineno)
+            if not all(math.isfinite(v) for v in vals):
+                raise MalformedRecord(lineno, "pose row contains NaN/Inf")
+            pose.append(vals)
+        pose = np.asarray(pose, dtype=np.float64)
     try:
         return Trial(
             id=str(rec["id"]),

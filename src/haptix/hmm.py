@@ -1,10 +1,11 @@
 """Per-class generative hidden Markov models with diagonal-Gaussian emissions.
 
-Forward likelihoods run entirely in log space; training is multi-sequence
-Baum-Welch with the initial state distribution held uniform (it can be
-re-estimated behind a flag). The classifier (`fit`/`predict`) keeps one model
-per label and picks the label whose model maximizes the observation
-log-likelihood.
+Forward likelihoods run entirely in log space, and each step of the
+forward-backward recursion works on a whole batch of equal-length sequences.
+Training is multi-sequence Baum-Welch with the initial state distribution
+held uniform (it can be re-estimated behind a flag). The classifier
+(`fit`/`predict`) keeps one model per label and picks the label whose model
+maximizes the observation log-likelihood.
 """
 
 from __future__ import annotations
@@ -22,20 +23,19 @@ VARIANCE_FLOOR = 1e-6
 _STOCHASTIC_TOL = 1e-9
 
 
-def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     m = np.max(a, axis=axis, keepdims=True)
     m_safe = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
         out = np.log(np.sum(np.exp(a - m_safe), axis=axis, keepdims=True)) + m_safe
-    if axis is None:
-        return out.item()
     return np.squeeze(out, axis=axis)
 
 
 def _obs_values(obs) -> np.ndarray:
     arr = np.asarray(obs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise ValueError(f"observations must be (T, F) with T >= 1, got {arr.shape}")
+    if arr.ndim not in (2, 3) or arr.shape[-2] < 1:
+        raise ValueError(f"observations must be (T, F) or (N, T, F) with T >= 1, "
+                         f"got {arr.shape}")
     return arr
 
 
@@ -88,41 +88,51 @@ class HmmModel:
 
 
 def _log_emissions(model_means, model_vars, obs: np.ndarray) -> np.ndarray:
-    """(T, K) matrix of log N(obs_t; mu_k, diag var_k)."""
-    diff = obs[:, None, :] - model_means[None, :, :]
-    quad = np.sum(diff * diff / model_vars[None, :, :], axis=2)
+    """(..., T, K) array of log N(obs_t; mu_k, diag var_k) for obs (..., T, F)."""
+    quad = obs[..., :, None, :] - model_means
+    quad *= quad
+    quad /= model_vars
+    quad = np.sum(quad, axis=-1)
     logdet = np.sum(np.log(model_vars), axis=1)
-    F = obs.shape[1]
-    return -0.5 * (F * np.log(2.0 * np.pi) + logdet[None, :] + quad)
+    F = obs.shape[-1]
+    return -0.5 * (F * np.log(2.0 * np.pi) + logdet + quad)
 
 
-def forward_loglik(model: HmmModel, obs) -> float:
-    """log P(O | lambda) by the forward recursion in log space."""
+def _forward(la, lpi, lb):
+    """Log-space alpha (N, T, K) of the forward recursion over a batch."""
+    alpha = np.empty(lb.shape)
+    alpha[:, 0] = lpi + lb[:, 0]
+    for t in range(1, lb.shape[1]):
+        alpha[:, t] = _logsumexp(alpha[:, t - 1, :, None] + la, axis=1) + lb[:, t]
+    return alpha
+
+
+def _backward(la, lb):
+    """Log-space beta (N, T, K) of the backward recursion over a batch."""
+    beta = np.zeros(lb.shape)
+    for t in range(lb.shape[1] - 2, -1, -1):
+        beta[:, t] = _logsumexp(la + (lb[:, t + 1] + beta[:, t + 1])[:, None, :],
+                                axis=2)
+    return beta
+
+
+def forward_loglik(model: HmmModel, obs):
+    """log P(O | lambda) by the forward recursion in log space.
+
+    obs (T, F) gives a float; a batch (N, T, F) of equal-length sequences
+    gives the (N,) array of their log-likelihoods.
+    """
     x = _obs_values(obs)
-    if x.shape[1] != model.F:
+    if x.shape[-1] != model.F:
         raise DimensionMismatch(
-            f"observation has {x.shape[1]} channels, model expects {model.F}"
+            f"observation has {x.shape[-1]} channels, model expects {model.F}"
         )
-    lb = _log_emissions(model.means, model.variances, x)
+    batch = x if x.ndim == 3 else x[None]
+    lb = _log_emissions(model.means, model.variances, batch)
     with np.errstate(divide="ignore"):
-        la = np.log(model.A)
-        alpha = np.log(model.pi) + lb[0]
-    for t in range(1, x.shape[0]):
-        alpha = _logsumexp(alpha[:, None] + la, axis=0) + lb[t]
-    return float(_logsumexp(alpha))
-
-
-def _forward_backward(la, lpi, lb):
-    """Log-space alpha/beta passes; returns (alpha, beta, loglik)."""
-    T, K = lb.shape
-    alpha = np.empty((T, K))
-    beta = np.zeros((T, K))
-    alpha[0] = lpi + lb[0]
-    for t in range(1, T):
-        alpha[t] = _logsumexp(alpha[t - 1][:, None] + la, axis=0) + lb[t]
-    for t in range(T - 2, -1, -1):
-        beta[t] = _logsumexp(la + (lb[t + 1] + beta[t + 1])[None, :], axis=1)
-    return alpha, beta, float(_logsumexp(alpha[-1]))
+        alpha = _forward(np.log(model.A), np.log(model.pi), lb)
+    ll = _logsumexp(alpha[:, -1], axis=1)
+    return ll if x.ndim == 3 else float(ll[0])
 
 
 def _uniform_pi(K: int) -> np.ndarray:
@@ -162,7 +172,8 @@ def baum_welch(trials: Sequence, K: int = 3, max_iter: int = 100,
                tol: float = 1e-4, seed: Optional[int] = None,
                estimate_pi: bool = False,
                channel_names: Optional[tuple[str, ...]] = None) -> HmmModel:
-    """Multi-sequence EM. pi stays uniform unless estimate_pi is set.
+    """Multi-sequence EM over equal-length sequences. pi stays uniform unless
+    estimate_pi is set.
 
     seed None gives the deterministic contiguous-block initialization;
     an integer seed draws a random initialization instead.
@@ -170,59 +181,66 @@ def baum_welch(trials: Sequence, K: int = 3, max_iter: int = 100,
     seqs = [_obs_values(t) for t in trials]
     if not seqs:
         raise EmptyTrainingSet("baum_welch requires at least one sequence")
+    if any(s.ndim != 2 for s in seqs):
+        raise ValueError("each sequence must be (T, F)")
     F = seqs[0].shape[1]
     for s in seqs[1:]:
         if s.shape[1] != F:
             raise DimensionMismatch(
                 f"sequences mix {F} and {s.shape[1]} channels"
             )
+    lengths = sorted({s.shape[0] for s in seqs})
+    if len(lengths) > 1:
+        raise ValueError(f"sequences must have equal lengths, got lengths {lengths}")
     if K < 1:
         raise ValueError("K must be >= 1")
+    X = np.stack(seqs)
 
-    A, means, variances = _init_params(seqs, K, seed)
+    A, means, variances = _init_params(X, K, seed)
     pi = _uniform_pi(K)
     ll_prev = None
     for _ in range(max_iter):
         with np.errstate(divide="ignore"):
             la = np.log(A)
             lpi = np.log(pi)
-        gamma_list = []
-        A_num = np.zeros((K, K))
-        pi_num = np.zeros(K)
-        total_ll = 0.0
-        for seq in seqs:
-            lb = _log_emissions(means, variances, seq)
-            alpha, beta, ll = _forward_backward(la, lpi, lb)
-            total_ll += ll
-            gamma = np.exp(alpha + beta - ll)
-            gamma_list.append(gamma)
-            pi_num += gamma[0]
-            for t in range(seq.shape[0] - 1):
-                A_num += np.exp(
-                    alpha[t][:, None] + la + (lb[t + 1] + beta[t + 1])[None, :] - ll
-                )
+        lb = _log_emissions(means, variances, X)
+        alpha = _forward(la, lpi, lb)
+        beta = _backward(la, lb)
+        ll = _logsumexp(alpha[:, -1], axis=1)
+        # cumsum adds the sequences in order; np.sum would add pairwise
+        total_ll = float(np.cumsum(ll)[-1])
         if ll_prev is not None and abs(total_ll - ll_prev) <= tol * max(abs(ll_prev), 1e-12):
             break
         ll_prev = total_ll
 
+        gamma = np.exp(alpha + beta - ll[:, None, None])
+        xi = np.exp(alpha[:, :-1, :, None] + la
+                    + (lb[:, 1:] + beta[:, 1:])[:, :, None, :]
+                    - ll[:, None, None, None])
+        A_num = xi.reshape(-1, K * K).sum(axis=0).reshape(K, K)
         row = A_num.sum(axis=1)
         new_A = A.copy()
         nz = row > 1e-300
         new_A[nz] = A_num[nz] / row[nz, None]
         A = new_A
-        if estimate_pi:
-            pi = pi_num / pi_num.sum()
+        # One call per sequence keeps the rounding of a per-sequence E-step
+        # (tests/test_hmm_oracle.py); a batched einsum or matmul rounds
+        # differently.
+        pi_num = np.zeros(K)
         occ = np.zeros(K)
         wsum = np.zeros((K, F))
-        for seq, gamma in zip(seqs, gamma_list):
-            occ += gamma.sum(axis=0)
-            wsum += gamma.T @ seq
+        for seq, g in zip(X, gamma):
+            pi_num += g[0]
+            occ += g.sum(axis=0)
+            wsum += g.T @ seq
+        if estimate_pi:
+            pi = pi_num / pi_num.sum()
         safe_occ = np.maximum(occ, 1e-300)
         new_means = np.where(occ[:, None] > 1e-12, wsum / safe_occ[:, None], means)
         vsum = np.zeros((K, F))
-        for seq, gamma in zip(seqs, gamma_list):
+        for seq, g in zip(X, gamma):
             diff = seq[:, None, :] - new_means[None, :, :]
-            vsum += np.einsum("tk,tkf->kf", gamma, diff * diff)
+            vsum += np.einsum("tk,tkf->kf", g, diff * diff)
         new_vars = np.where(occ[:, None] > 1e-12, vsum / safe_occ[:, None], variances)
         means = new_means
         variances = np.maximum(new_vars, VARIANCE_FLOOR)
@@ -279,9 +297,11 @@ def fit(X, y, labels, seed, params) -> dict:
 
 def predict(model: dict, X) -> np.ndarray:
     """Index of the most likely label per trial; the first label wins ties."""
-    models = list(model.values())
-    return np.array([int(np.argmax([forward_loglik(m, x) for m in models]))
-                     for x in np.asarray(X, dtype=np.float64)], dtype=np.int64)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 3:
+        raise ValueError(f"X must be (N, T, F), got {X.shape}")
+    scores = [forward_loglik(m, X) for m in model.values()]
+    return np.argmax(scores, axis=0).astype(np.int64)
 
 
 def to_dict(model: dict) -> dict:

@@ -166,6 +166,16 @@ class TestTrain:
         assert "no training data for class soft" in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
+    def test_failed_train_leaves_no_out_dir(self, data_file, tmp_path):
+        ds = load_trials(data_file)
+        data = tmp_path / "no-soft.jsonl"
+        save_trials(Dataset(tuple(t for t in ds.trials
+                                  if t.label is not ComplianceClass.SOFT)), data)
+        out = tmp_path / "m"
+        assert main(["train", "--data", str(data), "--clf", "svm", "--features",
+                     "fz", "--epochs", "2", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_artifacts(self, eval_dir):
@@ -219,6 +229,19 @@ class TestEvaluate:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "fold 0: no training data for class grape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--clf", "hmm", "--per-item"], 2),        # a fold lacks an item
+        (["--clf", "svm", "--states-sweep", "2"], 1),  # usage error
+    ])
+    def test_failed_evaluate_leaves_no_out_dir(self, flags, code, tmp_path):
+        data = tmp_path / "d.jsonl"
+        assert main(["synth", "--per-class", "3", "--seed", "1",
+                     "--out", str(data)]) == 0
+        out = tmp_path / "o"
+        assert main(["evaluate", "--data", str(data), "--k", "3", "--max-iter", "2",
+                     *flags, "--out", str(out)]) == code
+        assert not out.exists()
 
     def test_non_finite_features_exit_1(self, data_file, tmp_path, capsys):
         # finite samples whose grid overflows: fz alternates +-1e308 after contact
