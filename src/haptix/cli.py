@@ -3,16 +3,14 @@
 Subcommands: ingest, synth, train, evaluate, ablate, cross-domain, report.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Configuration precedence: command-line flags > --config key=value file >
-environment (HAPTIX_WORKERS) > built-in defaults. Every run writes a
-run.json with the fully resolved configuration; `evaluate --from-run`
-re-executes one exactly.
+built-in defaults. Every run writes a run.json with the fully resolved
+configuration; `evaluate --from-run` re-executes one exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -45,7 +43,6 @@ _PIPELINE_DEFAULTS = {
     "full_phase": False,
     "grid": 64,
     "delay": 0.030,
-    "workers": None,
     "per_item": False,
     "group_by": None,
     "states": 3,
@@ -90,7 +87,6 @@ def _add_pipeline_flags(p: _Parser, with_folds: bool = True):
     p.add_argument("--full-phase", action="store_const", const=True, default=None)
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--delay", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--states", type=int, default=None, help="HMM state count")
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
@@ -206,7 +202,7 @@ def _coerce(key: str, value, template):
 
 
 def _resolve(args: argparse.Namespace, defaults: dict, extra_keys=()) -> dict:
-    """flags > config file > environment > builtin defaults."""
+    """flags > config file > builtin defaults."""
     file_cfg = {}
     if getattr(args, "config", None):
         file_cfg = _read_config_file(args.config)
@@ -219,12 +215,8 @@ def _resolve(args: argparse.Namespace, defaults: dict, extra_keys=()) -> dict:
             resolved[key] = flag_val
         elif key in file_cfg:
             resolved[key] = _coerce(key, file_cfg[key], default)
-        elif key == "workers" and os.environ.get("HAPTIX_WORKERS"):
-            resolved[key] = int(os.environ["HAPTIX_WORKERS"])
         else:
             resolved[key] = default
-    if resolved.get("workers") is None:
-        resolved["workers"] = 1
     return resolved
 
 
@@ -325,6 +317,15 @@ def _cmd_train(args) -> int:
 
 
 def _evaluate_with_cfg(cfg: dict) -> int:
+    sweep = cfg.get("states_sweep")
+    if sweep:
+        if cfg["clf"] != "hmm":
+            raise UsageError("--states-sweep only applies to --clf hmm")
+        try:
+            sweep = [int(s) for s in str(sweep).split(",")]
+        except ValueError:
+            raise UsageError("--states-sweep expects a comma list of integers, "
+                             f"got {sweep!r}") from None
     data = _require_file(cfg["data"], "trial file")
     ds = load_trials(data)
     fs = FeatureSet.parse(cfg["features"])
@@ -332,15 +333,12 @@ def _evaluate_with_cfg(cfg: dict) -> int:
     split = ev.kfold_split(ds, cfg["k"], seed=cfg["seed"],
                            group_by=cfg.get("group_by"))
     params = _params_from(cfg)
-    sweep = cfg.get("states_sweep")
     if sweep:
-        if cfg["clf"] != "hmm":
-            raise UsageError("--states-sweep only applies to --clf hmm")
         lines = ["states,mean_accuracy,std_accuracy"]
-        for states in [int(s) for s in str(sweep).split(",")]:
+        for states in sweep:
             p = dict(params, states=states)
             report = ev.run_cv(ds, ev.ClassifierSpec("hmm", p), fs, split,
-                               preproc, cfg["delay"], cfg["workers"])
+                               preproc, cfg["delay"])
             lines.append(f"{states},{repr(report.mean_accuracy)},{repr(report.std_accuracy)}")
             print(f"hmm[K={states}] {report.feature_set} "
                   f"{report.mean_accuracy:.4f} ± {report.std_accuracy:.4f}")
@@ -351,7 +349,7 @@ def _evaluate_with_cfg(cfg: dict) -> int:
         return 0
     spec = ev.ClassifierSpec(cfg["clf"], params)
     report = ev.run_cv(ds, spec, fs, split, preproc, cfg["delay"],
-                       cfg["workers"], per_item=bool(cfg["per_item"]))
+                       per_item=bool(cfg["per_item"]))
     out = _outdir(cfg["out"])
     (out / "report.json").write_text(
         json.dumps(ev.report_to_dict(report), indent=2) + "\n", encoding="utf-8")
@@ -394,8 +392,7 @@ def _cmd_ablate(args) -> int:
     preproc = _preproc_from(cfg)
     split = ev.kfold_split(ds, cfg["k"], seed=cfg["seed"])
     spec = ev.ClassifierSpec(args.clf, _params_from(cfg))
-    rows = ev.ablate_features(ds, spec, sets, split, preproc, cfg["delay"],
-                              cfg["workers"])
+    rows = ev.ablate_features(ds, spec, sets, split, preproc, cfg["delay"])
     out = _outdir(args.out)
     ev.write_ablation_csv(rows, out / "ablation.csv")
     run = dict(cfg)

@@ -8,7 +8,6 @@ on training folds only; the held-out fold never touches them.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -267,13 +266,19 @@ def feature_tensor(ds: Dataset, fs: FeatureSet,
 def _item_index(trial) -> int:
     return ITEM_ORDER.index(normalize_item_name(trial.food_item))
 
-_ITEM_TO_CLASS_IDX = tuple(class_index(ITEM_CLASSES[i]) for i in ITEM_ORDER)
+_ITEM_TO_CLASS_IDX = np.array([class_index(ITEM_CLASSES[i]) for i in ITEM_ORDER])
+
+
+def _tally(y_true, y_pred, n: int) -> np.ndarray:
+    """(n, n) counts of (true, predicted) label-index pairs, rows true."""
+    pairs = np.asarray(y_true, dtype=np.int64) * n + np.asarray(y_pred, dtype=np.int64)
+    return np.bincount(pairs, minlength=n * n).reshape(n, n)
 
 
 def run_cv(ds: Dataset, spec: ClassifierSpec, fs: FeatureSet, split: FoldSplit,
            preproc: PreprocConfig = PreprocConfig(),
            delay: float = DEFAULT_STREAM_DELAY,
-           workers: int = 1, per_item: bool = False,
+           per_item: bool = False,
            trainer: Optional[Callable] = None) -> EvalReport:
     """k-fold cross validation with per-fold normalization statistics.
 
@@ -294,8 +299,11 @@ def run_cv(ds: Dataset, spec: ClassifierSpec, fs: FeatureSet, split: FoldSplit,
         labels = CLASS_LABELS
     fold_of = np.array([split.assignments[t.id] for t in ds.trials])
     params = fit_params(spec, fs)
-
-    def one_fold(fold: int):
+    L = len(CLASS_ORDER)
+    confusion = np.zeros((L, L), dtype=np.int64)
+    item_conf = np.zeros((len(ITEM_ORDER),) * 2, dtype=np.int64) if per_item else None
+    per_fold = []
+    for fold in range(split.k):
         train_idx = np.flatnonzero(fold_of != fold)
         test_idx = np.flatnonzero(fold_of == fold)
         if not train_idx.size or not test_idx.size:
@@ -310,30 +318,13 @@ def run_cv(ds: Dataset, spec: ClassifierSpec, fs: FeatureSet, split: FoldSplit,
             raise
         if len(pred) != len(test_idx):
             raise ValueError("trainer returned wrong number of predictions")
-        return test_idx, [int(p) for p in pred]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_fold, range(split.k)))
-    else:
-        results = [one_fold(f) for f in range(split.k)]
-
-    L = len(CLASS_ORDER)
-    confusion = np.zeros((L, L), dtype=np.int64)
-    item_conf = np.zeros((len(ITEM_ORDER),) * 2, dtype=np.int64) if per_item else None
-    per_fold = []
-    for test_idx, pred in results:
-        hits = 0
-        for i, p in zip(test_idx, pred):
-            if per_item:
-                item_conf[y_all[i], p] += 1
-                t_cls = _ITEM_TO_CLASS_IDX[y_all[i]]
-                p_cls = _ITEM_TO_CLASS_IDX[p]
-            else:
-                t_cls, p_cls = y_all[i], p
-            confusion[t_cls, p_cls] += 1
-            hits += t_cls == p_cls
-        per_fold.append(hits / len(test_idx))
+        y_true = y_all[test_idx]
+        if per_item:
+            item_conf += _tally(y_true, pred, len(ITEM_ORDER))
+            y_true, pred = _ITEM_TO_CLASS_IDX[y_true], _ITEM_TO_CLASS_IDX[pred]
+        fold_conf = _tally(y_true, pred, L)
+        confusion += fold_conf
+        per_fold.append(int(np.trace(fold_conf)) / len(test_idx))
     return EvalReport(
         classifier=spec.kind, feature_set=fs.spec_string(), k=split.k,
         seed=split.seed, per_fold=tuple(per_fold), confusion=confusion,
@@ -346,15 +337,14 @@ def run_cv(ds: Dataset, spec: ClassifierSpec, fs: FeatureSet, split: FoldSplit,
 def ablate_features(ds: Dataset, spec: ClassifierSpec,
                     feature_sets: Sequence[FeatureSet], split: FoldSplit,
                     preproc: PreprocConfig = PreprocConfig(),
-                    delay: float = DEFAULT_STREAM_DELAY,
-                    workers: int = 1) -> list[dict]:
+                    delay: float = DEFAULT_STREAM_DELAY) -> list[dict]:
     """One run_cv per feature set on identical folds, best first."""
     if not feature_sets:
         raise ValueError("need at least one feature set")
     rows = []
     widths = {}
     for fs in feature_sets:
-        report = run_cv(ds, spec, fs, split, preproc, delay, workers)
+        report = run_cv(ds, spec, fs, split, preproc, delay)
         rows.append({
             "feature_set": fs.spec_string(),
             "mean_accuracy": report.mean_accuracy,
@@ -383,13 +373,8 @@ def cross_domain_eval(train_ds: Dataset, test_ds: Dataset, spec: ClassifierSpec,
     y_test = [class_index(t.label) for t in test_ds.trials]
     pred = fit(stats.apply(X_train), y_train, CLASS_LABELS,
                stats.apply(X_test), seed, fit_params(spec, fs))
-    L = len(CLASS_ORDER)
-    confusion = np.zeros((L, L), dtype=np.int64)
-    hits = 0
-    for yt, yp in zip(y_test, pred):
-        confusion[yt, int(yp)] += 1
-        hits += yt == int(yp)
-    acc = hits / len(y_test)
+    confusion = _tally(y_test, pred, len(CLASS_ORDER))
+    acc = int(np.trace(confusion)) / len(y_test)
     return EvalReport(classifier=spec.kind, feature_set=fs.spec_string(),
                       k=1, seed=seed, per_fold=(acc,), confusion=confusion,
                       labels=CLASS_LABELS)

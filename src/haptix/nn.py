@@ -515,10 +515,6 @@ def save_model(model, path) -> None:
     Path(path).write_text(json.dumps(model_to_dict(model)) + "\n", encoding="utf-8")
 
 
-def load_model(path):
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
 def save_loss_curve(curve: Sequence[float], path) -> None:
     lines = ["epoch,mean_loss"]
     lines += [f"{i},{repr(float(v))}" for i, v in enumerate(curve)]

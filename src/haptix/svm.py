@@ -34,13 +34,6 @@ def flatten(fm) -> np.ndarray:
     return values.T.ravel().copy()
 
 
-def unflatten(vec, n_channels: int) -> np.ndarray:
-    v = np.asarray(vec, dtype=np.float64)
-    if v.size % n_channels != 0:
-        raise ValueError(f"vector of size {v.size} not divisible by {n_channels}")
-    return v.reshape(n_channels, -1).T.copy()
-
-
 @dataclass(frozen=True)
 class SvmModel:
     """Per-class weights/biases, ordered like `classes`."""
@@ -207,7 +200,3 @@ to_dict, from_dict = model_to_dict, model_from_dict
 
 def save_model(model: SvmModel, path) -> None:
     Path(path).write_text(json.dumps(model_to_dict(model)) + "\n", encoding="utf-8")
-
-
-def load_model(path) -> SvmModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

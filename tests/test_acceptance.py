@@ -209,7 +209,7 @@ def test_criterion_05_synthetic_benchmark():
         "lstm": ClassifierSpec("lstm", {"epochs": 100}),
     }
     for name, spec in specs.items():
-        acc[name] = run_cv(ds, spec, fs, split, workers=3).mean_accuracy
+        acc[name] = run_cv(ds, spec, fs, split).mean_accuracy
     elapsed = time.perf_counter() - start
     ok = (acc["tcn"] >= 0.9 and acc["svm"] >= 0.9 and acc["hmm"] >= 0.9
           and acc["lstm"] >= 0.8 and elapsed < 600.0)
@@ -227,7 +227,7 @@ def test_criterion_06_fz_dominates_ablation():
     split = kfold_split(ds, 3, seed=11)
     sets = [FeatureSet.parse(s) for s in ("fz", "force", "all", "all-fz")]
     rows = ablate_features(ds, ClassifierSpec("tcn", {"epochs": 60}),
-                           sets, split, workers=3)
+                           sets, split)
     by_set = {r["feature_set"]: r["mean_accuracy"] for r in rows}
     fz_first = rows[0]["feature_set"] == FeatureSet.parse("fz").spec_string()
     no_fz = by_set[FeatureSet.parse("all-fz").spec_string()]
@@ -246,7 +246,7 @@ def test_criterion_07_confusion_stays_adjacent():
         ds = generate(GenConfig(trials_per_class=30, noise_std=0.3, seed=seed))
         split = kfold_split(ds, 3, seed=seed)
         report = run_cv(ds, ClassifierSpec("tcn", {"epochs": 60}),
-                        FeatureSet.parse("all"), split, workers=3)
+                        FeatureSet.parse("all"), split)
         pooled += report.confusion
     dist = np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
     off_one = pooled[dist == 1].sum()
@@ -265,8 +265,8 @@ def test_criterion_08_cross_domain_gap():
                                  domain_shift=1.6, source=Source.ROBOT))
     fs = FeatureSet.parse("force+torque")
     spec = ClassifierSpec("hmm")
-    same = run_cv(train_ds, spec, fs, kfold_split(train_ds, 3, seed=5),
-                  workers=3).mean_accuracy
+    same = run_cv(train_ds, spec, fs,
+                  kfold_split(train_ds, 3, seed=5)).mean_accuracy
     cross = cross_domain_eval(train_ds, test_ds, spec, fs,
                               seed=5).mean_accuracy
     ok = same - cross >= 0.15
@@ -402,9 +402,9 @@ def test_criterion_11_external_dataset():
     ds = load_trials(path)
     split = kfold_split(ds, 3, seed=0)
     acc_all = run_cv(ds, ClassifierSpec("tcn", {"epochs": 100}),
-                     FeatureSet.parse("all"), split, workers=3).mean_accuracy
+                     FeatureSet.parse("all"), split).mean_accuracy
     acc_fz = run_cv(ds, ClassifierSpec("tcn", {"epochs": 100}),
-                    FeatureSet.parse("fz"), split, workers=3).mean_accuracy
+                    FeatureSet.parse("fz"), split).mean_accuracy
     ok = abs(acc_all - 0.8047) <= 0.10 and abs(acc_fz - 0.7422) <= 0.10
     record_acceptance(
         "11", ok,

@@ -299,28 +299,53 @@ class TestEvaluate:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_workers_env_and_flag_precedence(self, data_file, tmp_path,
-                                             monkeypatch):
-        monkeypatch.setenv("HAPTIX_WORKERS", "4")
-        out_env = tmp_path / "env"
-        assert main(["evaluate", "--data", str(data_file), "--clf", "svm",
-                     "--features", "fz", "--epochs", "30",
-                     "--out", str(out_env)]) == 0
-        assert json.loads((out_env / "run.json").read_text())["workers"] == 4
-
-        cfg = tmp_path / "w.cfg"
-        cfg.write_text("workers = 3\n")
+    def test_flag_and_config_precedence(self, data_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("HAPTIX_WORKERS", "4")  # no longer read
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 5\nworkers = 3\n")
         out_cfg = tmp_path / "cfg"
         assert main(["evaluate", "--data", str(data_file), "--clf", "svm",
                      "--features", "fz", "--epochs", "30",
                      "--config", str(cfg), "--out", str(out_cfg)]) == 0
-        assert json.loads((out_cfg / "run.json").read_text())["workers"] == 3
+        run = json.loads((out_cfg / "run.json").read_text())
+        assert run["seed"] == 5  # config file beats the default 0
+        assert "workers" not in run
 
         out_flag = tmp_path / "flag"
         assert main(["evaluate", "--data", str(data_file), "--clf", "svm",
-                     "--features", "fz", "--epochs", "30", "--workers", "1",
+                     "--features", "fz", "--epochs", "30", "--seed", "7",
                      "--config", str(cfg), "--out", str(out_flag)]) == 0
-        assert json.loads((out_flag / "run.json").read_text())["workers"] == 1
+        assert json.loads((out_flag / "run.json").read_text())["seed"] == 7
+
+    def test_workers_flag_is_usage_error(self, data_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["evaluate", "--data", str(data_file), "--clf", "svm",
+                   "--workers", "2", "--out", str(out)])
+        assert rc == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_from_run_ignores_stored_workers(self, eval_dir, tmp_path):
+        stored = json.loads((eval_dir / "run.json").read_text())
+        stored["workers"] = 2  # as older versions wrote it
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps(stored, indent=2, sort_keys=True) + "\n")
+        out = tmp_path / "replay"
+        assert main(["evaluate", "--from-run", str(run), "--out", str(out)]) == 0
+        for name in ("report.json", "confusion.csv", "folds.csv"):
+            assert (out / name).read_bytes() == (eval_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("clf, sweep, message", [
+        ("svm", "2", "--states-sweep only applies to --clf hmm"),
+        ("hmm", "2,x", "--states-sweep expects a comma list of integers"),
+    ])
+    def test_states_sweep_checked_before_loading(self, clf, sweep, message,
+                                                 tmp_path, capsys):
+        rc = main(["evaluate", "--data", str(tmp_path / "missing.jsonl"),
+                   "--clf", clf, "--states-sweep", sweep,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
 
 
 class TestAblate:

@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
-from haptix.core import CLASS_ORDER, ComplianceClass, Dataset, Trial
+from haptix.core import (CLASS_ORDER, ITEM_CLASSES, ITEM_ORDER, ComplianceClass,
+                         Dataset, Trial, class_index, normalize_item_name)
 from haptix.errors import DataError, DegenerateGroups, NoContact, TooFewTrials
 from haptix.evaluation import (
     ClassifierSpec,
     EvalReport,
     FoldSplit,
+    _tally,
     ablate_features,
     anova_oneway,
     cross_domain_eval,
@@ -211,15 +215,6 @@ class TestRunCv:
         assert all(clean.train_hashes[s] != poisoned.train_hashes[s]
                    for s in others)
 
-    def test_workers_do_not_change_results(self, small_ds):
-        split = kfold_split(small_ds, 3, seed=0)
-        fs = FeatureSet.parse("fz")
-        spec = ClassifierSpec("svm", {"epochs": 60})
-        seq = run_cv(small_ds, spec, fs, split, workers=1)
-        par = run_cv(small_ds, spec, fs, split, workers=3)
-        assert seq.per_fold == par.per_fold
-        np.testing.assert_array_equal(seq.confusion, par.confusion)
-
     def test_trainer_errors_name_the_fold(self, small_ds):
         split = kfold_split(small_ds, 3, seed=0)
 
@@ -271,6 +266,59 @@ class TestRunCv:
         assert report.mean_accuracy == pytest.approx(0.25)
         assert report.item_confusion[:, 0].sum() == len(small_ds)
         assert report.confusion[:, 0].sum() == len(small_ds)
+
+    @pytest.mark.parametrize("per_item", [False, True])
+    def test_tallies_match_per_trial_count(self, small_ds, per_item):
+        """Confusions and per-fold accuracies equal a per-trial count of the
+        same predictions, accuracies bitwise."""
+        split = kfold_split(small_ds, 3, seed=5)
+        preds = {}
+
+        def random_guess(X_train, y, labels, X_test, fold_seed, params):
+            rng = np.random.default_rng(fold_seed)
+            preds[fold_seed] = [int(p) for p in
+                                rng.integers(0, len(labels), len(X_test))]
+            return preds[fold_seed]
+
+        report = run_cv(small_ds, ClassifierSpec("svm"), FeatureSet.parse("fz"),
+                        split, per_item=per_item, trainer=random_guess)
+        item_to_class = [class_index(ITEM_CLASSES[i]) for i in ITEM_ORDER]
+        confusion = np.zeros((4, 4), dtype=np.int64)
+        item_conf = np.zeros((12, 12), dtype=np.int64)
+        per_fold = []
+        for fold in range(3):
+            test = [t for t in small_ds.trials if split.assignments[t.id] == fold]
+            hits = 0
+            for t, p in zip(test, preds[5 * 100003 + fold * 17 + 1]):
+                t_cls, p_cls = class_index(t.label), p
+                if per_item:
+                    item = ITEM_ORDER.index(normalize_item_name(t.food_item))
+                    item_conf[item, p] += 1
+                    p_cls = item_to_class[p]
+                confusion[t_cls, p_cls] += 1
+                hits += t_cls == p_cls
+            per_fold.append(hits / len(test))
+        assert report.per_fold == tuple(per_fold)
+        np.testing.assert_array_equal(report.confusion, confusion)
+        if per_item:
+            np.testing.assert_array_equal(report.item_confusion, item_conf)
+
+
+class TestTally:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 max_size=60))))
+    def test_matches_per_pair_count(self, case):
+        n, pairs = case
+        want = np.zeros((n, n), dtype=np.int64)
+        for t, p in pairs:
+            want[t, p] += 1
+        y_true = np.array([t for t, _ in pairs], dtype=np.int64)
+        got = _tally(y_true, [p for _, p in pairs], n)
+        assert got.shape == (n, n)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestAblation:

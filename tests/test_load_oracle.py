@@ -119,7 +119,8 @@ def streams(draw, width):
         if kind in ("cell", "non-finite"):
             cells = ODD_CELLS if kind == "cell" else st.sampled_from(
                 [math.nan, math.inf, -math.inf])
-            rows[i][draw(st.integers(0, width - 1))] = draw(cells)
+            # a "width" step may already have dropped this row's last cell
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(cells)
         elif kind == "width":
             rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [0.5]
         else:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from haptix.nn import (
     TrainConfig,
     cross_entropy,
     grad_check,
-    load_model,
     model_from_dict,
     model_to_dict,
     save_loss_curve,
@@ -349,7 +349,7 @@ class TestSerialization:
         x = rng.standard_normal((5, 16, 1))
         p = tmp_path / "tcn.json"
         save_model(m, p)
-        back = load_model(p)
+        back = model_from_dict(json.loads(p.read_text()))
         np.testing.assert_array_equal(back.predict(x), m.predict(x))
 
     def test_loss_curve_file(self, tmp_path):

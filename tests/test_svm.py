@@ -8,15 +8,14 @@ from haptix.core import CLASS_ORDER, ComplianceClass
 from haptix.errors import DimensionMismatch, SingleClassData
 from haptix.svm import (
     SvmModel,
+    _flat_rows,
     flatten,
     hinge_objective,
-    load_model,
     model_from_dict,
     model_to_dict,
     predict_svm,
     save_model,
     train_svm,
-    unflatten,
 )
 
 
@@ -41,12 +40,8 @@ class TestFlatten:
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
-        values = rng.normal(size=(64, 5))
-        np.testing.assert_array_equal(unflatten(flatten(values), 5), values)
-
-    def test_unflatten_checks_divisibility(self):
-        with pytest.raises(ValueError):
-            unflatten(np.zeros(10), 3)
+        values = rng.normal(size=(1, 64, 5))
+        np.testing.assert_array_equal(_flat_rows(values)[0], flatten(values[0]))
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
@@ -217,6 +212,6 @@ class TestSerialization:
                          C=1.5)
         p = tmp_path / "svm.json"
         save_model(model, p)
-        back = load_model(p)
+        back = model_from_dict(json.loads(p.read_text()))
         np.testing.assert_array_equal(back.W, model.W)
         np.testing.assert_array_equal(back.b, model.b)
