@@ -62,6 +62,9 @@ _PIPELINE_DEFAULTS = {
     "kernel": 5,
 }
 
+# Every key of an evaluate run.json, and all that --from-run reads back.
+_EVALUATE_KEYS = (*_PIPELINE_DEFAULTS, "states_sweep", "data", "clf", "out", "command")
+
 _SYNTH_DEFAULTS = {
     "per_class": 60,
     "seed": 0,
@@ -365,14 +368,19 @@ def _cmd_evaluate(args) -> int:
     if args.from_run:
         stored = json.loads(_require_file(args.from_run, "run file")
                             .read_text(encoding="utf-8"))
-        if stored.get("command") != "evaluate":
+        if not isinstance(stored, dict) or stored.get("command") != "evaluate":
             raise UsageError("--from-run expects a run.json from an evaluate run")
-        cfg = dict(stored)
         if args.out is not None:
-            cfg["out"] = args.out
-        return _evaluate_with_cfg(cfg)
-    cfg = _resolve(args, _PIPELINE_DEFAULTS,
-                   extra_keys=("per_item", "group_by", "states_sweep"))
+            stored["out"] = args.out
+        missing = [key for key in _EVALUATE_KEYS if key not in stored]
+        if missing:
+            raise UsageError(f"{args.from_run} lacks key(s): {', '.join(missing)}")
+        unknown = sorted(set(stored) - set(_EVALUATE_KEYS))
+        if unknown:
+            print(f"warning: {args.from_run}: ignoring unknown key(s): "
+                  f"{', '.join(unknown)}", file=sys.stderr)
+        return _evaluate_with_cfg({key: stored[key] for key in _EVALUATE_KEYS})
+    cfg = _resolve(args, _PIPELINE_DEFAULTS, extra_keys=("states_sweep",))
     for key in ("data", "clf", "out"):
         if getattr(args, key) is None:
             raise UsageError(f"--{key} is required (or use --from-run)")

@@ -126,7 +126,9 @@ class TcnModel:
                 f"({self.grid}, {self.in_channels})"
             )
 
-    def _forward(self, x: np.ndarray):
+    def _forward(self, x: np.ndarray, keep: bool = True):
+        """Logits plus the caches backprop reads; keep=False keeps none, so a
+        layer's im2col and activations are freed before the next layer's."""
         self._check(x)
         pad = self.kernel // 2
         caches = []
@@ -138,14 +140,17 @@ class TcnModel:
             xpad = np.zeros((B, T + 2 * pad, ci))
             xpad[:, pad:pad + T, :] = out
             cols = np.stack([xpad[:, k:k + T, :] for k in range(self.kernel)], axis=2)
+            del xpad
             cols = cols.reshape(B, T, self.kernel * ci)
-            z = cols @ W.reshape(W.shape[0], -1).T + b
+            z = cols @ W.reshape(W.shape[0], -1).T
+            z += b
             r = np.maximum(z, 0.0)
             v = r.reshape(B, T // 2, 2, W.shape[0])
             idx = v.argmax(axis=2)
-            pooled = np.take_along_axis(v, idx[:, :, None, :], axis=2)[:, :, 0, :]
-            caches.append((cols, z, v.shape, idx, ci))
-            out = pooled
+            out = np.take_along_axis(v, idx[:, :, None, :], axis=2)[:, :, 0, :]
+            if keep:
+                caches.append((cols, z, v.shape, idx, ci))
+            del cols, z, r, v, idx
         B = out.shape[0]
         flat = out.reshape(B, self.flat_dim)
         h = np.maximum(flat, 0.0)
@@ -154,11 +159,11 @@ class TcnModel:
 
     def forward(self, x) -> np.ndarray:
         """Logits for a (T, F) matrix or (B, T, F) batch."""
-        logits, _ = self._forward(_as_batch(x))
+        logits, _ = self._forward(_as_batch(x), keep=False)
         return logits[0] if np.ndim(x) == 2 else logits
 
     def loss(self, x, y) -> float:
-        logits, _ = self._forward(_as_batch(x))
+        logits, _ = self._forward(_as_batch(x), keep=False)
         return _batch_ce(logits, np.asarray(y))[0]
 
     def loss_and_grads(self, x, y):
@@ -182,6 +187,8 @@ class TcnModel:
             dz = dv.reshape(B, T, W.shape[0]) * (z > 0.0)
             grads[f"conv{layer}_W"] = np.einsum("bto,btm->om", dz, cols).reshape(W.shape)
             grads[f"conv{layer}_b"] = dz.sum(axis=(0, 1))
+            if layer == 0:
+                break  # nothing reads the input's gradient
             dcols = (dz @ W.reshape(W.shape[0], -1)).reshape(B, T, self.kernel, ci)
             dxpad = np.zeros((B, T + 2 * pad, ci))
             for k in range(self.kernel):
@@ -190,7 +197,7 @@ class TcnModel:
         return loss, grads
 
     def predict(self, x) -> np.ndarray:
-        logits, _ = self._forward(_as_batch(x))
+        logits, _ = self._forward(_as_batch(x), keep=False)
         return logits.argmax(axis=1)
 
     def arch(self) -> dict:
@@ -239,7 +246,9 @@ class LstmModel:
                 f"input has {x.shape[2]} channels, model expects {self.in_channels}"
             )
 
-    def _forward(self, x: np.ndarray):
+    def _forward(self, x: np.ndarray, keep: bool = True):
+        """Logits plus the caches backprop reads; keep=False keeps none of the
+        per-step gates and cell states, only each layer's output sequence."""
         self._check(x)
         B, T, _ = x.shape
         H = self.hidden
@@ -249,10 +258,10 @@ class LstmModel:
             Wx = self.params[f"l{layer}_Wx"]
             Wh = self.params[f"l{layer}_Wh"]
             b = self.params[f"l{layer}_b"]
-            pre = inp @ Wx.T + b
-            gi = np.empty((B, T, H)); gf = np.empty((B, T, H))
-            gg = np.empty((B, T, H)); go = np.empty((B, T, H))
-            cs = np.empty((B, T, H)); tcs = np.empty((B, T, H))
+            pre = inp @ Wx.T
+            pre += b
+            if keep:
+                gi, gf, gg, go, cs, tcs = (np.empty((B, T, H)) for _ in range(6))
             hs = np.empty((B, T, H))
             h = np.zeros((B, H)); c = np.zeros((B, H))
             for t in range(T):
@@ -262,9 +271,13 @@ class LstmModel:
                 c = f * c + i * g
                 tc = np.tanh(c)
                 h = o * tc
-                gi[:, t] = i; gf[:, t] = f; gg[:, t] = g; go[:, t] = o
-                cs[:, t] = c; tcs[:, t] = tc; hs[:, t] = h
-            caches.append((inp, gi, gf, gg, go, cs, tcs, hs))
+                hs[:, t] = h
+                if keep:
+                    gi[:, t] = i; gf[:, t] = f; gg[:, t] = g; go[:, t] = o
+                    cs[:, t] = c; tcs[:, t] = tc
+            if keep:
+                caches.append((inp, gi, gf, gg, go, cs, tcs, hs))
+            del pre
             inp = hs
         if self.per_step:
             feats = inp                      # (B, T, H)
@@ -276,7 +289,7 @@ class LstmModel:
         return logits, (caches, relu_in, hrelu)
 
     def forward(self, x) -> np.ndarray:
-        logits, _ = self._forward(_as_batch(x))
+        logits, _ = self._forward(_as_batch(x), keep=False)
         if self.per_step:
             logits = logits.mean(axis=1)
         return logits[0] if np.ndim(x) == 2 else logits
@@ -289,7 +302,7 @@ class LstmModel:
         return loss, dflat.reshape(B, T, C)
 
     def loss(self, x, y) -> float:
-        logits, _ = self._forward(_as_batch(x))
+        logits, _ = self._forward(_as_batch(x), keep=False)
         return self._head_loss(logits, np.asarray(y))[0]
 
     def loss_and_grads(self, x, y):
@@ -318,7 +331,7 @@ class LstmModel:
             Wh = self.params[f"l{layer}_Wh"]
             dWx = np.zeros_like(Wx); dWh = np.zeros_like(Wh)
             db = np.zeros(4 * H)
-            dinp = np.zeros_like(inp)
+            dinp = np.zeros_like(inp) if layer else None  # input's: never read
             dh_next = np.zeros((B, H)); dc_next = np.zeros((B, H))
             for t in range(T - 1, -1, -1):
                 i = gi[:, t]; f = gf[:, t]; g = gg[:, t]; o = go[:, t]
@@ -341,7 +354,8 @@ class LstmModel:
                 dWx += da.T @ inp[:, t]
                 dWh += da.T @ h_prev
                 db += da.sum(axis=0)
-                dinp[:, t] = da @ Wx
+                if layer:
+                    dinp[:, t] = da @ Wx
                 dh_next = da @ Wh
             grads[f"l{layer}_Wx"] = dWx
             grads[f"l{layer}_Wh"] = dWh
@@ -350,7 +364,7 @@ class LstmModel:
         return loss, grads
 
     def predict(self, x) -> np.ndarray:
-        logits, _ = self._forward(_as_batch(x))
+        logits, _ = self._forward(_as_batch(x), keep=False)
         if self.per_step:
             logits = logits.mean(axis=1)
         return logits.argmax(axis=1)

@@ -219,6 +219,11 @@ class TestEvaluate:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "evaluate run" in capsys.readouterr().err
+        not_an_object = tmp_path / "list.json"
+        not_an_object.write_text("[]\n")
+        assert main(["evaluate", "--from-run", str(not_an_object),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "evaluate run" in capsys.readouterr().err
 
     def test_missing_item_is_named(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
@@ -325,15 +330,32 @@ class TestEvaluate:
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_from_run_ignores_stored_workers(self, eval_dir, tmp_path):
+    def test_from_run_ignores_stored_workers(self, eval_dir, tmp_path, capsys):
         stored = json.loads((eval_dir / "run.json").read_text())
         stored["workers"] = 2  # as older versions wrote it
+        stored["bogus_key"] = 1
         run = tmp_path / "run.json"
         run.write_text(json.dumps(stored, indent=2, sort_keys=True) + "\n")
         out = tmp_path / "replay"
         assert main(["evaluate", "--from-run", str(run), "--out", str(out)]) == 0
         for name in ("report.json", "confusion.csv", "folds.csv"):
             assert (out / name).read_bytes() == (eval_dir / name).read_bytes()
+        err = capsys.readouterr().err
+        assert "workers" in err and "bogus_key" in err
+        replay = json.loads((out / "run.json").read_text())
+        assert "workers" not in replay and "bogus_key" not in replay
+        del replay["out"], stored["out"], stored["workers"], stored["bogus_key"]
+        assert replay == stored
+
+    def test_from_run_missing_key_is_usage_error(self, eval_dir, tmp_path, capsys):
+        stored = json.loads((eval_dir / "run.json").read_text())
+        del stored["grid"]
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps(stored) + "\n")
+        out = tmp_path / "replay"
+        assert main(["evaluate", "--from-run", str(run), "--out", str(out)]) == 1
+        assert "grid" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("clf, sweep, message", [
         ("svm", "2", "--states-sweep only applies to --clf hmm"),
