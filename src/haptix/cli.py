@@ -2,9 +2,14 @@
 
 Subcommands: ingest, synth, train, evaluate, ablate, cross-domain, report.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-Configuration precedence: command-line flags > --config key=value file >
-built-in defaults. Every run writes a run.json with the fully resolved
-configuration; `evaluate --from-run` re-executes one exactly.
+
+Each command that takes --config declares its keys once, in `_KEYS`. A key
+is both the flag --key-name and the config-file line `key = value`, and both
+go through the same parser. Precedence: flags > --config file > built-in
+defaults. A config key the command does not read is named on stderr and
+ignored. Every run writes a run.json holding exactly the resolved keys of its
+command; `evaluate --from-run` re-executes one exactly and combines only with
+--out.
 """
 
 from __future__ import annotations
@@ -31,80 +36,83 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Builtin defaults for everything the pipeline commands share. None means
-# "defer to the component's own default" (left out of hyperparameters).
-_PIPELINE_DEFAULTS = {
-    "features": "all",
-    "k": 3,
-    "seed": 0,
-    "threshold": 0.5,
-    "hold": 0.05,
-    "duration": 0.82,
-    "full_phase": False,
-    "grid": 64,
-    "delay": 0.030,
-    "per_item": False,
-    "group_by": None,
-    "states": 3,
-    "max_iter": 100,
-    "tol": 1e-4,
-    "estimate_pi": False,
-    "svm_c": 1.0,
-    "epochs": None,
-    "lr": 1e-3,
-    "batch_size": 32,
-    "optimizer": "adam",
-    "hidden": 50,
-    "layers": 2,
-    "per_step": False,
-    "channels": 32,
-    "depth": 4,
-    "kernel": 5,
+def _boolean(value: str) -> bool:
+    low = value.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(value)
+
+
+# Each key a command reads, declared once as key -> (builtin default, parser).
+# The parser is a type such as int, _boolean (an on-only flag) or a tuple of
+# choices. A None default defers to the component's own default (epochs is
+# then left out of the hyperparameters).
+_MODEL_KEYS = {
+    "features": ("all", str),
+    "seed": (0, int),
+    "threshold": (0.5, float),
+    "hold": (0.05, float),
+    "duration": (0.82, float),
+    "full_phase": (False, _boolean),
+    "grid": (64, int),
+    "delay": (0.030, float),
+    "states": (3, int),
+    "max_iter": (100, int),
+    "tol": (1e-4, float),
+    "estimate_pi": (False, _boolean),
+    "svm_c": (1.0, float),
+    "epochs": (None, int),
+    "lr": (1e-3, float),
+    "batch_size": (32, int),
+    "optimizer": ("adam", ("adam", "sgd")),
+    "hidden": (50, int),
+    "layers": (2, int),
+    "per_step": (False, _boolean),
+    "channels": (32, int),
+    "depth": (4, int),
+    "kernel": (5, int),
+}
+_ABLATE_KEYS = {**_MODEL_KEYS, "k": (3, int)}
+
+# The key table of every command that takes --config.
+_KEYS = {
+    "synth": {
+        "per_class": (60, int),
+        "seed": (0, int),
+        "noise": (0.05, float),
+        "rate": (120.0, float),
+        "duration": (1.5, float),
+        "domain_shift": (1.0, float),
+        "fz_only": (False, _boolean),
+        "source": ("human", ("human", "robot")),
+    },
+    "train": _MODEL_KEYS,
+    "evaluate": {**_ABLATE_KEYS, "per_item": (False, _boolean),
+                 "group_by": (None, ("subject",)), "states_sweep": (None, str)},
+    "ablate": _ABLATE_KEYS,
+    "cross-domain": _MODEL_KEYS,
 }
 
 # Every key of an evaluate run.json, and all that --from-run reads back.
-_EVALUATE_KEYS = (*_PIPELINE_DEFAULTS, "states_sweep", "data", "clf", "out", "command")
+_EVALUATE_KEYS = (*_KEYS["evaluate"], "data", "clf", "out", "command")
 
-_SYNTH_DEFAULTS = {
-    "per_class": 60,
-    "seed": 0,
-    "noise": 0.05,
-    "rate": 120.0,
-    "duration": 1.5,
-    "domain_shift": 1.0,
-    "fz_only": False,
-    "source": "human",
-}
-
-_BOOL_KEYS = {"full_phase", "per_item", "estimate_pi", "per_step", "fz_only"}
+_CLASSIFIERS = ("hmm", "svm", "tcn", "lstm")
 
 
-def _add_pipeline_flags(p: _Parser, with_folds: bool = True):
-    p.add_argument("--features", default=None)
-    if with_folds:
-        p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--hold", type=float, default=None)
-    p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--full-phase", action="store_const", const=True, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--delay", type=float, default=None)
-    p.add_argument("--states", type=int, default=None, help="HMM state count")
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--estimate-pi", action="store_const", const=True, default=None)
-    p.add_argument("--svm-c", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--per-step", action="store_const", const=True, default=None)
-    p.add_argument("--channels", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--kernel", type=int, default=None)
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _add_key_flags(p: _Parser, table: dict) -> None:
+    for key, (_, parse) in table.items():
+        if parse is _boolean:
+            p.add_argument(_flag(key), action="store_const", const=True, default=None)
+        elif isinstance(parse, tuple):
+            p.add_argument(_flag(key), choices=parse, default=None)
+        else:
+            p.add_argument(_flag(key), type=parse, default=None)
     p.add_argument("--config", default=None, help="flat key=value config file")
 
 
@@ -112,56 +120,41 @@ def build_parser() -> _Parser:
     top = _Parser(prog="haptix", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[], help="validate and canonicalize a trial file")
+    p = sub.add_parser("ingest", help="validate and canonicalize a trial file")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--per-class", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--domain-shift", type=float, default=None)
-    p.add_argument("--fz-only", action="store_const", const=True, default=None)
-    p.add_argument("--source", choices=("human", "robot"), default=None)
-    p.add_argument("--config", default=None)
     p.add_argument("--out", required=True, help="output trial file (JSON lines)")
 
     p = sub.add_parser("train", help="train one classifier on a full dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--clf", required=True, choices=("hmm", "svm", "tcn", "lstm"))
+    p.add_argument("--clf", required=True, choices=_CLASSIFIERS)
     p.add_argument("--out", required=True)
-    _add_pipeline_flags(p, with_folds=False)
 
     p = sub.add_parser("evaluate", help="k-fold cross-validated evaluation")
     p.add_argument("--data", default=None)
-    p.add_argument("--clf", choices=("hmm", "svm", "tcn", "lstm"), default=None)
+    p.add_argument("--clf", choices=_CLASSIFIERS, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--per-item", action="store_const", const=True, default=None)
-    p.add_argument("--group-by", choices=("subject",), default=None)
-    p.add_argument("--states-sweep", default=None,
-                   help="comma list of HMM state counts to evaluate")
     p.add_argument("--from-run", default=None,
                    help="re-execute the configuration of an emitted run.json")
-    _add_pipeline_flags(p)
 
     p = sub.add_parser("ablate", help="feature-set ablation on identical folds")
     p.add_argument("--data", required=True)
-    p.add_argument("--clf", required=True, choices=("hmm", "svm", "tcn", "lstm"))
+    p.add_argument("--clf", required=True, choices=_CLASSIFIERS)
     p.add_argument("--out", required=True)
-    _add_pipeline_flags(p)
 
     p = sub.add_parser("cross-domain", help="train on one dataset, test on another")
     p.add_argument("--train-data", required=True)
     p.add_argument("--test-data", required=True)
-    p.add_argument("--clf", required=True, choices=("hmm", "svm", "tcn", "lstm"))
+    p.add_argument("--clf", required=True, choices=_CLASSIFIERS)
     p.add_argument("--out", required=True)
-    _add_pipeline_flags(p, with_folds=False)
 
     p = sub.add_parser("report", help="print or re-export an evaluation report")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", default=None, help="directory for re-exported CSVs")
+    for name, table in _KEYS.items():
+        _add_key_flags(sub.choices[name], table)
     return top
 
 
@@ -178,46 +171,40 @@ def _read_config_file(path) -> dict:
     return cfg
 
 
-def _coerce(key: str, value, template):
-    """Parse a config-file string into the type of the builtin default."""
-    if value is None or not isinstance(value, str):
-        return value
-    if key in _BOOL_KEYS:
-        low = value.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"config key {key}: expected a boolean, got {value!r}")
-    if template is None:
-        for caster in (int, float):
-            try:
-                return caster(value)
-            except ValueError:
-                pass
-        return value
-    if isinstance(template, bool):
-        return _coerce(key, value, None)
+def _known(source, values: dict, keys) -> dict:
+    """The entries of `values` under `keys`; any other key is named on stderr."""
+    unknown = sorted(set(values) - set(keys))
+    if unknown:
+        print(f"warning: {source}: ignoring unknown key(s): {', '.join(unknown)}",
+              file=sys.stderr)
+    return {key: value for key, value in values.items() if key in keys}
+
+
+def _parse(key: str, parse, value: str):
+    """A config-file value, through the parser of the key's flag."""
     try:
-        return type(template)(value)
+        if isinstance(parse, tuple):
+            if value not in parse:
+                raise ValueError(value)
+            return value
+        return parse(value)
     except ValueError:
         raise UsageError(f"config key {key}: cannot parse {value!r}") from None
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, extra_keys=()) -> dict:
-    """flags > config file > builtin defaults."""
+def _resolve(args: argparse.Namespace) -> dict:
+    """The command's keys: flags > config file > builtin defaults."""
+    table = _KEYS[args.command]
     file_cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = _read_config_file(args.config)
+    if args.config:
+        file_cfg = _known(args.config, _read_config_file(args.config), table)
     resolved = {}
-    keys = list(defaults) + list(extra_keys)
-    for key in keys:
-        default = defaults.get(key)
-        flag_val = getattr(args, key, None)
+    for key, (default, parse) in table.items():
+        flag_val = getattr(args, key)
         if flag_val is not None:
             resolved[key] = flag_val
         elif key in file_cfg:
-            resolved[key] = _coerce(key, file_cfg[key], default)
+            resolved[key] = _parse(key, parse, file_cfg[key])
         else:
             resolved[key] = default
     return resolved
@@ -273,29 +260,25 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    cfg = _resolve(args, _SYNTH_DEFAULTS)
+    cfg = _resolve(args)
     gen = GenConfig(
         trials_per_class=cfg["per_class"], noise_std=cfg["noise"],
         sample_rate=cfg["rate"], duration=cfg["duration"],
         domain_shift=cfg["domain_shift"], seed=cfg["seed"],
-        fz_only=bool(cfg["fz_only"]), source=Source(cfg["source"]),
+        fz_only=cfg["fz_only"], source=Source(cfg["source"]),
     )
     ds = generate(gen)
     out = Path(args.out)
     if out.parent and not out.parent.exists():
         out.parent.mkdir(parents=True, exist_ok=True)
     save_trials(ds, out)
-    run = dict(cfg)
-    run["command"] = "synth"
-    run["out"] = str(out)
-    _write_run_json(run, str(out) + ".run.json")
+    _write_run_json(dict(cfg, command="synth", out=str(out)), str(out) + ".run.json")
     print(f"wrote {len(ds)} trials to {out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    cfg = _resolve(args, _PIPELINE_DEFAULTS)
-    cfg.pop("k", None)
+    cfg = _resolve(args)
     data = _require_file(args.data, "trial file")
     ds = load_trials(data)
     fs = FeatureSet.parse(cfg["features"])
@@ -312,15 +295,14 @@ def _cmd_train(args) -> int:
     norm = {"mean": stats.mean.tolist(), "std": stats.std.tolist(),
             "channel_names": list(stats.channel_names)}
     (out / "norm.json").write_text(json.dumps(norm) + "\n", encoding="utf-8")
-    run = dict(cfg)
-    run.update(command="train", data=str(data), clf=args.clf, out=str(args.out))
+    run = dict(cfg, command="train", data=str(data), clf=args.clf, out=str(args.out))
     _write_run_json(run, out / "run.json")
     print(f"trained {args.clf} on {len(ds)} trials -> {out / 'model.json'}")
     return 0
 
 
 def _evaluate_with_cfg(cfg: dict) -> int:
-    sweep = cfg.get("states_sweep")
+    sweep = cfg["states_sweep"]
     if sweep:
         if cfg["clf"] != "hmm":
             raise UsageError("--states-sweep only applies to --clf hmm")
@@ -334,14 +316,17 @@ def _evaluate_with_cfg(cfg: dict) -> int:
     fs = FeatureSet.parse(cfg["features"])
     preproc = _preproc_from(cfg)
     split = ev.kfold_split(ds, cfg["k"], seed=cfg["seed"],
-                           group_by=cfg.get("group_by"))
+                           group_by=cfg["group_by"])
     params = _params_from(cfg)
+
+    def cv(spec: ev.ClassifierSpec) -> ev.EvalReport:
+        return ev.run_cv(ds, spec, fs, split, preproc, cfg["delay"],
+                         per_item=cfg["per_item"])
+
     if sweep:
         lines = ["states,mean_accuracy,std_accuracy"]
         for states in sweep:
-            p = dict(params, states=states)
-            report = ev.run_cv(ds, ev.ClassifierSpec("hmm", p), fs, split,
-                               preproc, cfg["delay"])
+            report = cv(ev.ClassifierSpec("hmm", dict(params, states=states)))
             lines.append(f"{states},{repr(report.mean_accuracy)},{repr(report.std_accuracy)}")
             print(f"hmm[K={states}] {report.feature_set} "
                   f"{report.mean_accuracy:.4f} ± {report.std_accuracy:.4f}")
@@ -350,9 +335,7 @@ def _evaluate_with_cfg(cfg: dict) -> int:
                                               encoding="utf-8")
         _write_run_json(cfg, out / "run.json")
         return 0
-    spec = ev.ClassifierSpec(cfg["clf"], params)
-    report = ev.run_cv(ds, spec, fs, split, preproc, cfg["delay"],
-                       per_item=bool(cfg["per_item"]))
+    report = cv(ev.ClassifierSpec(cfg["clf"], params))
     out = _outdir(cfg["out"])
     (out / "report.json").write_text(
         json.dumps(ev.report_to_dict(report), indent=2) + "\n", encoding="utf-8")
@@ -366,6 +349,11 @@ def _evaluate_with_cfg(cfg: dict) -> int:
 
 def _cmd_evaluate(args) -> int:
     if args.from_run:
+        given = [_flag(key) for key in (*_KEYS["evaluate"], "data", "clf", "config")
+                 if getattr(args, key) is not None]
+        if given:
+            raise UsageError("--from-run combines only with --out, not with "
+                             + ", ".join(given))
         stored = json.loads(_require_file(args.from_run, "run file")
                             .read_text(encoding="utf-8"))
         if not isinstance(stored, dict) or stored.get("command") != "evaluate":
@@ -375,26 +363,21 @@ def _cmd_evaluate(args) -> int:
         missing = [key for key in _EVALUATE_KEYS if key not in stored]
         if missing:
             raise UsageError(f"{args.from_run} lacks key(s): {', '.join(missing)}")
-        unknown = sorted(set(stored) - set(_EVALUATE_KEYS))
-        if unknown:
-            print(f"warning: {args.from_run}: ignoring unknown key(s): "
-                  f"{', '.join(unknown)}", file=sys.stderr)
-        return _evaluate_with_cfg({key: stored[key] for key in _EVALUATE_KEYS})
-    cfg = _resolve(args, _PIPELINE_DEFAULTS, extra_keys=("states_sweep",))
+        return _evaluate_with_cfg(_known(args.from_run, stored, _EVALUATE_KEYS))
+    cfg = _resolve(args)
     for key in ("data", "clf", "out"):
         if getattr(args, key) is None:
             raise UsageError(f"--{key} is required (or use --from-run)")
         cfg[key] = getattr(args, key)
-    cfg["per_item"] = bool(cfg.get("per_item"))
     cfg["command"] = "evaluate"
     return _evaluate_with_cfg(cfg)
 
 
 def _cmd_ablate(args) -> int:
-    cfg = _resolve(args, _PIPELINE_DEFAULTS)
+    cfg = _resolve(args)
     data = _require_file(args.data, "trial file")
     ds = load_trials(data)
-    sets = [FeatureSet.parse(tok) for tok in str(cfg["features"]).split(",") if tok]
+    sets = [FeatureSet.parse(tok) for tok in cfg["features"].split(",") if tok]
     if not sets:
         raise UsageError("--features must list at least one feature set")
     preproc = _preproc_from(cfg)
@@ -403,8 +386,7 @@ def _cmd_ablate(args) -> int:
     rows = ev.ablate_features(ds, spec, sets, split, preproc, cfg["delay"])
     out = _outdir(args.out)
     ev.write_ablation_csv(rows, out / "ablation.csv")
-    run = dict(cfg)
-    run.update(command="ablate", data=str(data), clf=args.clf, out=str(args.out))
+    run = dict(cfg, command="ablate", data=str(data), clf=args.clf, out=str(args.out))
     _write_run_json(run, out / "run.json")
     for row in rows:
         print(f"{args.clf} {row['feature_set']} "
@@ -413,8 +395,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_cross_domain(args) -> int:
-    cfg = _resolve(args, _PIPELINE_DEFAULTS)
-    cfg.pop("k", None)
+    cfg = _resolve(args)
     train_path = _require_file(args.train_data, "trial file")
     test_path = _require_file(args.test_data, "trial file")
     train_ds = load_trials(train_path)
@@ -427,8 +408,7 @@ def _cmd_cross_domain(args) -> int:
     (out / "report.json").write_text(
         json.dumps(ev.report_to_dict(report), indent=2) + "\n", encoding="utf-8")
     ev.write_confusion_csv(report, out / "confusion.csv")
-    run = dict(cfg)
-    run.update(command="cross-domain", train_data=str(train_path),
+    run = dict(cfg, command="cross-domain", train_data=str(train_path),
                test_data=str(test_path), clf=args.clf, out=str(args.out))
     _write_run_json(run, out / "run.json")
     print(f"{report.classifier} {report.feature_set} "

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -13,7 +14,8 @@ import pytest
 import haptix
 from conftest import make_trial
 from haptix import evaluation as ev
-from haptix.cli import main
+from haptix import cli
+from haptix.cli import build_parser, main
 from haptix.core import (ComplianceClass, Dataset, Source, class_index,
                          load_trials, save_trials)
 from haptix.preprocess import FeatureSet
@@ -458,3 +460,174 @@ def test_console_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "wrote 4 trials" in proc.stdout
     assert out.is_file()
+
+
+# ---------------------------------------------------------------------------
+# Key tables: one declaration per key gives its flag, config line and run.json
+
+_MODEL_OPTIONS = {
+    "-h", "--help", "--config", "--clf", "--out", "--features", "--seed",
+    "--threshold", "--hold", "--duration", "--full-phase", "--grid", "--delay",
+    "--states", "--max-iter", "--tol", "--estimate-pi", "--svm-c", "--epochs",
+    "--lr", "--batch-size", "--optimizer", "--hidden", "--layers", "--per-step",
+    "--channels", "--depth", "--kernel",
+}
+
+# Option strings of every subcommand, frozen: a flag may not be dropped or renamed.
+OPTION_STRINGS = {
+    "ingest": {"-h", "--help", "--data", "--out"},
+    "synth": {"-h", "--help", "--config", "--out", "--per-class", "--seed",
+              "--noise", "--rate", "--duration", "--domain-shift", "--fz-only",
+              "--source"},
+    "train": _MODEL_OPTIONS | {"--data"},
+    "evaluate": _MODEL_OPTIONS | {"--data", "--k", "--per-item", "--group-by",
+                                  "--states-sweep", "--from-run"},
+    "ablate": _MODEL_OPTIONS | {"--data", "--k"},
+    "cross-domain": _MODEL_OPTIONS | {"--train-data", "--test-data"},
+    "report": {"-h", "--help", "--in", "--out"},
+}
+
+
+def test_option_strings_frozen():
+    top = build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {s for action in p._actions for s in action.option_strings}
+           for name, p in sub.choices.items()}
+    assert got == OPTION_STRINGS
+
+
+# Values the generic rule of _sample cannot give; extra flags a value needs.
+_SAMPLES = {"features": "fz", "states_sweep": "2"}
+_NEEDS = {"states_sweep": ["--clf", "hmm", "--max-iter", "1"]}
+
+
+def _sample(key, default, parse):
+    """A config-file value for `key` that parses to something other than its default."""
+    if key in _SAMPLES:
+        return _SAMPLES[key]
+    if parse is cli._boolean:
+        return "true"
+    if isinstance(parse, tuple):
+        return parse[-1]
+    if parse is int:
+        return str(default + 1 if default is not None else 2)
+    return repr(default * 1.1)
+
+
+def _command_argv(command, data_file, out):
+    """A quick run of `command` on the module's trial file, as {flag: value}."""
+    if command == "synth":
+        return {"--per-class": "1", "--out": str(out)}
+    argv = {"--clf": "svm", "--epochs": "1", "--out": str(out)}
+    if command == "cross-domain":
+        return {"--train-data": str(data_file), "--test-data": str(data_file), **argv}
+    return {"--data": str(data_file), **argv}
+
+
+def _run_json(command, out):
+    return Path(str(out) + ".run.json" if command == "synth" else out / "run.json")
+
+
+def _run(command, argv, extra=()):
+    return main([command, *(s for pair in argv.items() for s in pair if s is not None),
+                 *extra])
+
+
+class TestKeyTables:
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, table in cli._KEYS.items() for key in table])
+    def test_flag_and_config_line_give_equal_run_json(self, command, key, data_file,
+                                                      tmp_path):
+        default, parse = cli._KEYS[command][key]
+        value = _sample(key, default, parse)
+        flag = cli._flag(key)
+        runs = []
+        for how in ("flag", "config"):
+            out = tmp_path / how
+            argv = _command_argv(command, data_file, out)
+            argv.pop(flag, None)
+            if how == "flag":
+                argv[flag] = None if parse is cli._boolean else value
+            else:
+                cfg = tmp_path / "c.cfg"
+                cfg.write_text(f"{key} = {value}\n")
+                argv["--config"] = str(cfg)
+            assert _run(command, argv, _NEEDS.get(key, ())) == 0
+            run = json.loads(_run_json(command, out).read_text())
+            del run["out"]
+            runs.append(run)
+        assert runs[0] == runs[1]
+        assert runs[0][key] != default
+
+    @pytest.mark.parametrize("command", list(cli._KEYS))
+    def test_unknown_config_key_is_named(self, command, data_file, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epoch = 5\n")  # a misspelled epochs
+        out = tmp_path / "o"
+        argv = {**_command_argv(command, data_file, out), "--config": str(cfg)}
+        assert _run(command, argv) == 0
+        assert "unknown key(s): epoch" in capsys.readouterr().err
+        run = json.loads(_run_json(command, out).read_text())
+        assert "epoch" not in run
+
+    def test_ablate_names_evaluate_only_keys(self, data_file, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("group_by = subject\nper_item = true\n")
+        out = tmp_path / "o"
+        argv = {**_command_argv("ablate", data_file, out), "--config": str(cfg)}
+        assert _run("ablate", argv) == 0
+        assert "unknown key(s): group_by, per_item" in capsys.readouterr().err
+        run = json.loads((out / "run.json").read_text())
+        assert "group_by" not in run and "per_item" not in run
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "cross-domain"])
+    @pytest.mark.parametrize("line, key", [("epochs = 5.5", "epochs"),
+                                           ("optimizer = foo", "optimizer"),
+                                           ("estimate_pi = maybe", "estimate_pi")])
+    def test_unparsable_config_value_is_usage_error(self, command, line, key,
+                                                    tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        # the trial file does not exist: the value is rejected before any loading
+        argv = {**_command_argv(command, tmp_path / "missing.jsonl", out),
+                "--config": str(cfg)}
+        argv.pop(cli._flag(key), None)
+        assert _run(command, argv) == 1
+        assert f"config key {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestFromRunFlags:
+    def test_other_flags_are_usage_error(self, eval_dir, data_file, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 3\n")
+        out = tmp_path / "x"
+        rc = main(["evaluate", "--from-run", str(eval_dir / "run.json"), "--seed", "5",
+                   "--clf", "tcn", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "--clf" in err and "--config" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--data", "d.jsonl"], ["--per-item"],
+                                       ["--states-sweep", "2"], ["--k", "3"]])
+    def test_each_flag_is_named(self, flags, eval_dir, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["evaluate", "--from-run", str(eval_dir / "run.json"), *flags,
+                   "--out", str(out)])
+        assert rc == 1
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_states_sweep_applies_per_item(tmp_path):
+    data = tmp_path / "d.jsonl"
+    assert main(["synth", "--per-class", "12", "--seed", "3", "--out", str(data)]) == 0
+    common = ["evaluate", "--data", str(data), "--clf", "hmm", "--per-item",
+              "--max-iter", "2"]
+    assert main([*common, "--states-sweep", "2", "--out", str(tmp_path / "sweep")]) == 0
+    assert main([*common, "--states", "2", "--out", str(tmp_path / "single")]) == 0
+    rows = (tmp_path / "sweep" / "states_sweep.csv").read_text().split("\n")
+    report = json.loads((tmp_path / "single" / "report.json").read_text())
+    assert rows[1] == (f"2,{report['mean_accuracy']!r},{report['std_accuracy']!r}")
