@@ -95,10 +95,13 @@ _KEYS = {
     "cross-domain": _MODEL_KEYS,
 }
 
-# Every key of an evaluate run.json, and all that --from-run reads back.
-_EVALUATE_KEYS = (*_KEYS["evaluate"], "data", "clf", "out", "command")
-
 _CLASSIFIERS = ("hmm", "svm", "tcn", "lstm")
+
+# The keys an evaluate run.json holds besides the key table, and their parsers.
+_RUN_KEYS = {"data": str, "clf": _CLASSIFIERS, "out": str}
+
+# Every key of an evaluate run.json, and all that --from-run reads back.
+_EVALUATE_KEYS = (*_KEYS["evaluate"], *_RUN_KEYS, "command")
 
 
 def _flag(key: str) -> str:
@@ -190,6 +193,23 @@ def _parse(key: str, parse, value: str):
         return parse(value)
     except ValueError:
         raise UsageError(f"config key {key}: cannot parse {value!r}") from None
+
+
+def _stored(source, key: str, value, parse, nullable: bool):
+    """A run.json value, which must have the type its flag's parser returns
+    (an int is taken for a float); None only where the default is None."""
+    if value is None and nullable:
+        return value
+    if parse is float and type(value) is int:
+        value = float(value)
+    if isinstance(parse, tuple):
+        want, ok = "one of " + ", ".join(parse), value in parse
+    else:
+        want = "true or false" if parse is _boolean else parse.__name__
+        ok = type(value) is (bool if parse is _boolean else parse)
+    if not ok:
+        raise UsageError(f"{source}: key {key} must be {want}, got {value!r}")
+    return value
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -363,9 +383,14 @@ def _cmd_evaluate(args) -> int:
         missing = [key for key in _EVALUATE_KEYS if key not in stored]
         if missing:
             raise UsageError(f"{args.from_run} lacks key(s): {', '.join(missing)}")
-        return _evaluate_with_cfg(_known(args.from_run, stored, _EVALUATE_KEYS))
+        cfg = _known(args.from_run, stored, _EVALUATE_KEYS)
+        for key, (default, parse) in _KEYS["evaluate"].items():
+            cfg[key] = _stored(args.from_run, key, cfg[key], parse, default is None)
+        for key, parse in _RUN_KEYS.items():
+            cfg[key] = _stored(args.from_run, key, cfg[key], parse, False)
+        return _evaluate_with_cfg(cfg)
     cfg = _resolve(args)
-    for key in ("data", "clf", "out"):
+    for key in _RUN_KEYS:
         if getattr(args, key) is None:
             raise UsageError(f"--{key} is required (or use --from-run)")
         cfg[key] = getattr(args, key)

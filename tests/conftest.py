@@ -4,6 +4,13 @@ Acceptance tests call record_acceptance() so every criterion contributes one
 PASS/FAIL line to the terminal summary regardless of output capturing.
 """
 
+import os
+
+# One BLAS thread, as in perfbench/run.py, set before numpy loads: the tests
+# are single-threaded numpy code, and BLAS threads only add CPU time.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -212,8 +212,9 @@ class TestEvaluate:
         assert rc == 0
         for name in ("report.json", "confusion.csv", "folds.csv"):
             assert (out / name).read_bytes() == (eval_dir / name).read_bytes()
-        replay = json.loads((out / "run.json").read_text())
-        assert replay["out"] == str(out)
+        stored = json.loads((eval_dir / "run.json").read_text())
+        assert (out / "run.json").read_text() == json.dumps(
+            dict(stored, out=str(out)), indent=2, sort_keys=True) + "\n"
 
     def test_from_run_rejects_other_commands(self, data_file, tmp_path, capsys):
         run = data_file.parent / "trials.jsonl.run.json"
@@ -358,6 +359,37 @@ class TestEvaluate:
         assert main(["evaluate", "--from-run", str(run), "--out", str(out)]) == 1
         assert "grid" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("k", "3", "key k must be int, got '3'"),
+        ("threshold", "0.5", "key threshold must be float, got '0.5'"),
+        ("seed", 1.0, "key seed must be int, got 1.0"),
+        ("per_item", 0, "key per_item must be true or false, got 0"),
+        ("optimizer", "adagrad", "key optimizer must be one of adam, sgd"),
+        ("features", None, "key features must be str, got None"),
+        ("clf", "knn", "key clf must be one of hmm, svm, tcn, lstm"),
+        ("data", 3, "key data must be str, got 3"),
+    ])
+    def test_from_run_wrong_type_is_usage_error(self, key, value, message, eval_dir,
+                                                tmp_path, capsys):
+        stored = json.loads((eval_dir / "run.json").read_text())
+        stored[key] = value
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps(stored) + "\n")
+        out = tmp_path / "replay"
+        assert main(["evaluate", "--from-run", str(run), "--out", str(out)]) == 1
+        assert f"error: {run}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_from_run_takes_int_for_float_key(self, eval_dir, tmp_path):
+        stored = json.loads((eval_dir / "run.json").read_text())
+        stored["tol"] = 1  # hmm-only, so the svm results stay the same
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps(stored) + "\n")
+        out = tmp_path / "replay"
+        assert main(["evaluate", "--from-run", str(run), "--out", str(out)]) == 0
+        assert (out / "report.json").read_bytes() == (eval_dir / "report.json").read_bytes()
+        assert repr(json.loads((out / "run.json").read_text())["tol"]) == "1.0"
 
     @pytest.mark.parametrize("clf, sweep, message", [
         ("svm", "2", "--states-sweep only applies to --clf hmm"),

@@ -143,6 +143,16 @@ class TestTrial:
         with pytest.raises(ValueError):
             ramp_trial(session=0)
 
+    def test_session_must_fit_in_64_bits(self):
+        assert ramp_trial(session=2**64 - 1).session == 2**64 - 1
+        with pytest.raises(ValueError, match=r"session must be < 2\*\*64"):
+            ramp_trial(session=2**64)
+
+    @pytest.mark.parametrize("field", ["trial_id", "subject", "item"])
+    def test_text_fields_must_be_unicode(self, field):
+        with pytest.raises(ValueError, match="is not valid Unicode"):
+            ramp_trial(**{field: "carrot\ud800"})
+
 
 class TestDataset:
     def test_counts_per_class(self):

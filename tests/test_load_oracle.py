@@ -1,27 +1,38 @@
-"""The vectorized trial-record parser against the row loop it replaced.
+"""Trial-file parsing and writing against the code they replaced.
 
-The oracle is the per-value conversion that `core._trial_from_record` ran on
-every record before. On any record, both must return equal trials or raise
-the same exception type with the same message.
+Two oracles:
+- the per-value conversion that `core._trial_from_record` ran on every
+  record before it was vectorized. On any record, both must return equal
+  trials or raise the same exception type with the same message;
+- the json.loads reader and json.dumps writer that `load_trials` and
+  `save_trials` used before orjson. Files must round-trip bitwise, each reader
+  must read the other's files to equal trials, and a rejected line must get
+  the same error and line number.
 """
 
 import json
 import math
+import struct
 
 import numpy as np
+import orjson
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haptix.core import (
+    Dataset,
     Source,
     Trial,
     _parse_pose_row,
     _trial_from_record,
     _wrap_angles,
     item_class,
+    load_trials,
+    save_trials,
     wrap_angle,
 )
-from haptix.errors import DegenerateStream, MalformedRecord
+from haptix.errors import DegenerateStream, EmptyDataset, MalformedRecord
 
 
 def oracle_trial_from_record(rec, lineno):
@@ -152,3 +163,188 @@ class TestRecordOracle:
         want = np.array([wrap_angle(v) for v in values])
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def oracle_load_trials(path):
+    trials = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(lineno, f"invalid JSON: {exc.msg}") from None
+            if not isinstance(rec, dict):
+                raise MalformedRecord(lineno, "record is not a JSON object")
+            trials.append(_trial_from_record(rec, lineno))
+    if not trials:
+        raise EmptyDataset(f"no trials in {path}")
+    return Dataset(trials=tuple(trials))
+
+
+def oracle_save_trials(dataset, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for t in dataset.trials:
+            rec = {
+                "id": t.id,
+                "subject": t.subject,
+                "session": t.session,
+                "food_item": t.food_item,
+                "source": t.source.value,
+                "wrench": t.wrench.tolist(),
+                "pose": t.pose.tolist(),
+            }
+            fh.write(json.dumps(rec) + "\n")
+
+
+def load_outcome(load, path):
+    try:
+        return "ok", load(path)
+    except Exception as exc:  # compared by type, message and line number
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+
+
+def bitwise_equal(a: Dataset, b: Dataset) -> bool:
+    return a == b and all(
+        x.wrench.tobytes() == y.wrench.tobytes() and x.pose.tobytes() == y.pose.tobytes()
+        for x, y in zip(a.trials, b.trials))
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1e-05, 1e16, 1e22, 1e23,
+               9007199254740993.0, 0.30000000000000004, 123456789.12345679]
+# any finite float64, drawn from its bit pattern
+ANY_FLOAT = (st.integers(0, 2**64 - 1)
+             .map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+             .filter(math.isfinite)) | st.sampled_from(EDGE_FLOATS)
+ANGLE = st.floats(-math.pi, math.pi, exclude_min=True) | st.sampled_from([-0.0, math.pi])
+ITEM_NAMES = ("carrot", "egg", "bell pepper", "watermelon")
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+@st.composite
+def trials(draw, i):
+    """A trial whose cells cover the whole float64 range; the time column is
+    any increasing run of non-negative floats, and the pose angles are in
+    (-pi, pi] so that the loader leaves them as they are."""
+    def stream(angles):
+        n = draw(st.integers(2, 5))
+        t = sorted(draw(st.sets(ANY_FLOAT.map(abs), min_size=n, max_size=n)))
+        rows = []
+        for ti in t:
+            cells = [draw(ANY_FLOAT) for _ in range(3)]
+            cells += [draw(ANGLE if angles else ANY_FLOAT) for _ in range(3)]
+            rows.append([ti] + cells)
+        return np.array(rows, dtype=np.float64)
+
+    item = draw(st.sampled_from(ITEM_NAMES))
+    return Trial(id=f"t{i}-" + draw(TEXT), subject=draw(TEXT),
+                 session=draw(st.integers(1, 2**64 - 1)), food_item=item,
+                 label=item_class(item), wrench=stream(False), pose=stream(True),
+                 source=draw(st.sampled_from(list(Source))))
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 3))
+    return Dataset(trials=tuple(draw(trials(i)) for i in range(n)))
+
+
+class TestTrialFileOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(datasets())
+    def test_round_trip_is_bitwise(self, tmp_path_factory, ds):
+        path = tmp_path_factory.mktemp("io") / "d.jsonl"
+        save_trials(ds, path)
+        assert bitwise_equal(load_trials(path), ds)
+        assert bitwise_equal(oracle_load_trials(path), ds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(datasets())
+    def test_reads_oracle_written_files(self, tmp_path_factory, ds):
+        path = tmp_path_factory.mktemp("io") / "d.jsonl"
+        oracle_save_trials(ds, path)
+        assert bitwise_equal(load_trials(path), oracle_load_trials(path))
+        assert bitwise_equal(load_trials(path), ds)
+
+
+GOOD_RECORD = {"id": "t", "subject": "s1", "session": 1, "food_item": "carrot",
+               "source": "robot",
+               "wrench": [[0.0, 1, 2, 3, 4, 5, 6], [0.5, 1, 2, 3, 4, 5, 6]],
+               "pose": [[0.0, 1, 2, 3, 0.1, 0.2, 0.3], [0.5, 1, 2, 3, 0.1, 0.2, 0.3]]}
+BAD_TOKENS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+              "1.7976931348623159e308", "2e308"]
+BIG_INTS = [2**64, 2**64 - 1, -(2**63) - 1, 2**70,
+            123456789012345678901234567890]
+
+
+@st.composite
+def bad_lines(draw):
+    """A record line that the json reader accepts with a value orjson refuses
+    or reads differently, or a line that is not a JSON object at all."""
+    kind = draw(st.sampled_from(["token", "big-int", "broken", "not-object"]))
+    if kind == "not-object":
+        return draw(st.sampled_from(["[1, 2]", "3", '"rec"', "null", "NaN"]))
+    line = json.dumps(GOOD_RECORD)
+    if kind == "broken":
+        return line[:draw(st.integers(0, len(line) - 1))] + draw(
+            st.sampled_from(["", "}", ",}", "]", " x", "\\"]))
+    value = draw(st.sampled_from(BAD_TOKENS) if kind == "token"
+                 else st.sampled_from(BIG_INTS).map(str))
+    field = draw(st.sampled_from(["id", "subject", "session", "wrench", "pose"]))
+    rec = json.loads(line)
+    if field in ("wrench", "pose"):
+        row = draw(st.integers(0, 1))
+        # a wrong-width row puts the value into json's error message
+        if draw(st.booleans()):
+            rec[field][row].append(0.0)
+        rec[field][row][draw(st.integers(0, 6))] = "@"
+    else:
+        rec[field] = "@"
+    return json.dumps(rec).replace('"@"', value)
+
+
+class TestRejectedLines:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2), bad_lines())
+    def test_same_outcome_as_json_reader(self, tmp_path_factory, good_before, line):
+        path = tmp_path_factory.mktemp("io") / "d.jsonl"
+        path.write_text(
+            "".join(json.dumps(GOOD_RECORD) + "\n" for _ in range(good_before))
+            + line + "\n", encoding="utf-8")
+        assert load_outcome(load_trials, path) == load_outcome(oracle_load_trials, path)
+
+
+class TestWideIntegers:
+    """orjson reads an integer literal wider than 64 bits as the nearest float,
+    where json keeps the exact int. The loader keeps json's values: stream
+    cells become that same float either way, and a record whose metadata holds
+    such a literal is read by json."""
+
+    def test_orjson_reads_wide_integers_as_floats(self):
+        assert orjson.loads("18446744073709551616") == 1.8446744073709552e19
+        assert type(orjson.loads("123456789012345678901234567890")) is float
+        assert orjson.loads("18446744073709551615") == 2**64 - 1
+
+    def test_metadata_keeps_json_values(self, tmp_path):
+        rec = dict(GOOD_RECORD, id=18446744073709551616,
+                   subject=123456789012345678901234567890, session=2**64 - 1)
+        rec["wrench"] = [[0.0, 2**70, 0, 0, 0, 0, -(2**65)], [0.5, 1, 2, 3, 4, 5, 6]]
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        trial = load_trials(path).trials[0]
+        assert trial.id == "18446744073709551616"
+        assert trial.subject == "123456789012345678901234567890"
+        assert trial.session == 2**64 - 1
+        assert trial.wrench[0, 1] == float(2**70) and trial.wrench[0, 6] == -float(2**65)
+        assert bitwise_equal(load_trials(path), oracle_load_trials(path))
+
+    def test_session_beyond_64_bits_is_rejected(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(dict(GOOD_RECORD, session=2**64)) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(MalformedRecord, match=r"line 1: session must be < 2\*\*64"):
+            load_trials(path)
