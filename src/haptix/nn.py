@@ -83,6 +83,22 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
+def _pool2(r: np.ndarray):
+    """Width-2 max pooling over axis 1 of (B, T, C): the pooled (B, T/2, C)
+    array and the (B, T, C) bool mask of the elements that won their pair.
+
+    The second element wins exactly where argmax over the pair picks it:
+    when it is larger, or when it alone is NaN. Ties, including -0.0 against
+    +0.0, keep the first element, and a NaN in either propagates.
+    """
+    B, T, C = r.shape
+    v = r.reshape(B, T // 2, 2, C)
+    v0, v1 = v[:, :, 0], v[:, :, 1]
+    second = (v1 > v0) | (np.isnan(v1) & ~np.isnan(v0))
+    won = np.stack([~second, second], axis=2).reshape(B, T, C)
+    return np.where(second, v1, v0), won
+
+
 class TcnModel:
     """Stack of 1-D temporal conv layers (kernel 5, same padding), each with
     ReLU and width-2 max pooling, then flatten -> ReLU -> linear logits.
@@ -126,31 +142,33 @@ class TcnModel:
                 f"({self.grid}, {self.in_channels})"
             )
 
+    def _conv(self, layer: int, x: np.ndarray):
+        """Conv layer `layer` on x (B, T, ci): its im2col (B, T, kernel * ci)
+        and its pre-activation z (B, T, channels)."""
+        W = self.params[f"conv{layer}_W"]
+        B, T, ci = x.shape
+        pad = self.kernel // 2
+        xpad = np.zeros((B, T + 2 * pad, ci))
+        xpad[:, pad:pad + T, :] = x
+        cols = np.stack([xpad[:, k:k + T, :] for k in range(self.kernel)], axis=2)
+        del xpad
+        cols = cols.reshape(B, T, self.kernel * ci)
+        z = cols @ W.reshape(W.shape[0], -1).T
+        z += self.params[f"conv{layer}_b"]
+        return cols, z
+
     def _forward(self, x: np.ndarray, keep: bool = True):
         """Logits plus the caches backprop reads; keep=False keeps none, so a
         layer's im2col and activations are freed before the next layer's."""
         self._check(x)
-        pad = self.kernel // 2
         caches = []
         out = x
         for layer in range(self.depth):
-            W = self.params[f"conv{layer}_W"]
-            b = self.params[f"conv{layer}_b"]
-            B, T, ci = out.shape
-            xpad = np.zeros((B, T + 2 * pad, ci))
-            xpad[:, pad:pad + T, :] = out
-            cols = np.stack([xpad[:, k:k + T, :] for k in range(self.kernel)], axis=2)
-            del xpad
-            cols = cols.reshape(B, T, self.kernel * ci)
-            z = cols @ W.reshape(W.shape[0], -1).T
-            z += b
-            r = np.maximum(z, 0.0)
-            v = r.reshape(B, T // 2, 2, W.shape[0])
-            idx = v.argmax(axis=2)
-            out = np.take_along_axis(v, idx[:, :, None, :], axis=2)[:, :, 0, :]
-            if keep:
-                caches.append((cols, z, v.shape, idx, ci))
-            del cols, z, r, v, idx
+            cols, z = self._conv(layer, out)
+            out, won = _pool2(np.maximum(z, 0.0))
+            if keep:  # where the gradient flows: the pair's winner, ReLU open
+                caches.append((cols, won & (z > 0.0)))
+            del cols, z, won
         B = out.shape[0]
         flat = out.reshape(B, self.flat_dim)
         h = np.maximum(flat, 0.0)
@@ -171,21 +189,21 @@ class TcnModel:
         yb = np.asarray(y)
         logits, (caches, flat, h, out_shape) = self._forward(xb)
         loss, dlogits = _batch_ce(logits, yb)
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        grads["head_W"] = dlogits.T @ h
-        grads["head_b"] = dlogits.sum(axis=0)
+        grads = {"head_W": dlogits.T @ h, "head_b": dlogits.sum(axis=0)}
         dh = dlogits @ self.params["head_W"]
         dflat = dh * (flat > 0.0)
         dout = dflat.reshape(out_shape)
         pad = self.kernel // 2
         for layer in range(self.depth - 1, -1, -1):
-            cols, z, vshape, idx, ci = caches[layer]
+            cols, live = caches[layer]
             W = self.params[f"conv{layer}_W"]
-            B, T = z.shape[0], z.shape[1]
-            dv = np.zeros(vshape)
-            np.put_along_axis(dv, idx[:, :, None, :], dout[:, :, None, :], axis=2)
-            dz = dv.reshape(B, T, W.shape[0]) * (z > 0.0)
-            grads[f"conv{layer}_W"] = np.einsum("bto,btm->om", dz, cols).reshape(W.shape)
+            O, _, ci = W.shape
+            B, T, _ = live.shape
+            # a product with the bool mask, not np.where: on a random mask
+            # np.where branches per element and took several times as long
+            dz = (live.reshape(B, T // 2, 2, O) * dout[:, :, None, :]).reshape(B, T, O)
+            dW = dz.reshape(B * T, O).T @ cols.reshape(B * T, -1)
+            grads[f"conv{layer}_W"] = dW.reshape(W.shape)
             grads[f"conv{layer}_b"] = dz.sum(axis=(0, 1))
             if layer == 0:
                 break  # nothing reads the input's gradient
@@ -312,7 +330,7 @@ class LstmModel:
         H = self.hidden
         logits, (caches, relu_in, hrelu) = self._forward(xb)
         loss, dlogits = self._head_loss(logits, yb)
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        grads = {}
         W_head = self.params["head_W"]
         if self.per_step:
             grads["head_W"] = np.einsum("btc,bth->ch", dlogits, hrelu)

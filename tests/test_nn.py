@@ -12,6 +12,7 @@ from haptix.nn import (
     LstmModel,
     TcnModel,
     TrainConfig,
+    _pool2,
     cross_entropy,
     grad_check,
     model_from_dict,
@@ -94,8 +95,7 @@ class TestTcnForward:
         m = TcnModel(in_channels=3, channels=4, depth=1, kernel=5, grid=16,
                      seed=1)
         x = rng.standard_normal((2, 16, 3))
-        _, (caches, *_rest) = m._forward(x)
-        z = caches[0][1]
+        _, z = m._conv(0, x)
         W, b = m.params["conv0_W"], m.params["conv0_b"]
         pad = 2
         xpad = np.zeros((2, 16 + 2 * pad, 3))
@@ -117,8 +117,8 @@ class TestTcnForward:
         m.params["conv0_b"][:] = 0.0
         rng = np.random.default_rng(2)
         x = rng.uniform(0.5, 2.0, size=(1, 8, 1))  # positive: ReLU inert
-        _, (caches, flat, _h, _shape) = m._forward(x)
-        np.testing.assert_allclose(caches[0][1], x, atol=1e-15)
+        _, (_caches, flat, _h, _shape) = m._forward(x)
+        np.testing.assert_allclose(m._conv(0, x)[1], x, atol=1e-15)
         # width-2 max pooling of the identity map
         expected = x.reshape(1, 4, 2).max(axis=2)
         np.testing.assert_allclose(flat, expected, atol=1e-15)
@@ -134,6 +134,57 @@ class TestTcnForward:
         m = TcnModel(in_channels=2, channels=4, depth=1, grid=64)
         fm = prepare_trial(ramp_trial(n=180), FeatureSet.parse("fx+fz"))
         assert m.forward(fm).shape == (4,)
+
+
+class TestTcnPooling:
+    """Width-2 max pooling picks the element argmax picks."""
+
+    @staticmethod
+    def pool_pair(a, b):
+        out, won = _pool2(np.array([[[a], [b]]]))
+        return out[0, 0, 0], list(won.ravel())
+
+    def test_equal_positive_pair_takes_first(self):
+        out, won = self.pool_pair(2.5, 2.5)
+        assert out == 2.5 and won == [True, False]
+
+    def test_negative_zero_first_is_kept(self):
+        out, won = self.pool_pair(-0.0, 0.0)
+        assert out == 0.0 and np.signbit(out) and won == [True, False]
+        out, won = self.pool_pair(0.0, -0.0)
+        assert out == 0.0 and not np.signbit(out) and won == [True, False]
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan),
+                                      (math.nan, math.nan), (math.inf, math.nan),
+                                      (math.nan, -math.inf)])
+    def test_nan_propagates(self, a, b):
+        out, won = self.pool_pair(a, b)
+        assert np.isnan(out)
+        assert won[1] == (np.array([a, b]).argmax() == 1)
+
+    def test_matches_argmax_on_special_values(self):
+        values = [-math.inf, -1.0, -0.0, 0.0, 1.0, math.inf, math.nan]
+        a, b = np.array([(a, b) for a in values for b in values]).T
+        r = np.stack([a, b], axis=1).reshape(1, -1, 1)  # pairs along time
+        v = r.reshape(1, len(a), 2, 1)
+        idx = v.argmax(axis=2)
+        expected = np.take_along_axis(v, idx[:, :, None, :], axis=2)[:, :, 0, :]
+        out, won = _pool2(r)
+        assert np.array_equal(won.reshape(v.shape)[:, :, 1], idx == 1)
+        assert np.array_equal(won.reshape(v.shape)[:, :, 0], idx == 0)
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("second, ratio", [(2.0, 0.5), (3.0, 2.5)])
+    def test_gradient_goes_to_the_winner(self, second, ratio):
+        # z = 2 * x[:, 0]; x[:, 1] is unseen and tells the two steps apart
+        m = TcnModel(in_channels=2, n_classes=2, channels=1, depth=1, kernel=1,
+                     grid=2, seed=0)
+        m.params["conv0_W"][:] = [[[2.0, 0.0]]]
+        m.params["head_W"][:] = [[1.0], [-1.0]]
+        x = np.array([[1.0, 0.5], [second / 2.0, 2.5 * second / 2.0]])
+        _, grads = m.loss_and_grads(x, [1])
+        gW = grads["conv0_W"][0, 0]
+        assert gW[0] != 0.0 and gW[1] / gW[0] == ratio
 
 
 class TestLstmStructure:
