@@ -7,13 +7,13 @@ on training folds only; the held-out fold never touches them.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import betainc, gammaln, ndtr
 
 from . import hmm as hmm_mod
 from . import nn as nn_mod
@@ -415,14 +415,23 @@ def anova_oneway(groups) -> tuple[float, float]:
     msb = ssb / df1
     msw = max(ssw / df2, _MSW_FLOOR)
     F = msb / msw
+    from scipy.special import betainc
     p = float(betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * F)))
     return float(F), min(max(p, 0.0), 1.0)
 
 
-_OUTER_X, _OUTER_XW = np.polynomial.legendre.leggauss(160)
-_INNER_Z, _INNER_W = (lambda xw: (8.0 * xw[0], 8.0 * xw[1]))(
-    np.polynomial.legendre.leggauss(96)
-)
+# scipy.special and the Gauss-Legendre tables below load on first use, so
+# that `import haptix` stays cheap for the commands that compute no p-value.
+@functools.cache
+def _gauss_legendre():
+    """160 nodes and weights on [-1, 1] for the outer integral and 96 scaled
+    to [-8, 8] for the inner one; read-only, since every call shares them."""
+    x, xw = np.polynomial.legendre.leggauss(160)
+    z, zw = np.polynomial.legendre.leggauss(96)
+    rules = (x, xw, 8.0 * z, 8.0 * zw)
+    for a in rules:
+        a.setflags(write=False)
+    return rules
 
 
 def _srange_outer_nodes(df: float):
@@ -436,7 +445,8 @@ def _srange_outer_nodes(df: float):
     lo = max(0.0, 1.0 - half)
     hi = min(6.0, 1.0 + half)
     mid, span = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + span * _OUTER_X, span * _OUTER_XW
+    x, xw, _, _ = _gauss_legendre()
+    return mid + span * x, span * xw
 
 
 def _phi(z):
@@ -445,12 +455,14 @@ def _phi(z):
 
 def _range_cdf(w, k: int):
     """P(range of k iid standard normals <= w), vectorized over w."""
+    from scipy.special import ndtr
     w = np.asarray(w, dtype=np.float64)
-    z = _INNER_Z[None, :]
+    _, _, z, zw = _gauss_legendre()
+    z = z[None, :]
     inner = _phi(z) * np.power(
         np.clip(ndtr(z) - ndtr(z - w[:, None]), 0.0, 1.0), k - 1
     )
-    return k * (inner @ _INNER_W)
+    return k * (inner @ zw)
 
 
 def studentized_range_cdf(q: float, k: int, df: float) -> float:
@@ -464,6 +476,7 @@ def studentized_range_cdf(q: float, k: int, df: float) -> float:
         raise DegenerateGroups("studentized range needs k >= 2 and df >= 1")
     if q <= 0.0:
         return 0.0
+    from scipy.special import gammaln
     s, sw = _srange_outer_nodes(df)
     with np.errstate(divide="ignore"):
         log_f = ((df / 2.0) * np.log(df) - gammaln(df / 2.0)
@@ -515,5 +528,6 @@ def ttest_2tailed(a, b) -> tuple[float, float]:
         df = na + nb - 2
     else:
         df = se2 * se2 / denom
+    from scipy.special import betainc
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t))) if t != 0.0 else 1.0
     return float(t), min(max(p, 0.0), 1.0)

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionMismatch, NonFiniteLoss
 
@@ -267,6 +266,7 @@ class LstmModel:
     def _forward(self, x: np.ndarray, keep: bool = True):
         """Logits plus the caches backprop reads; keep=False keeps none of the
         per-step gates and cell states, only each layer's output sequence."""
+        from scipy.special import expit  # here, so that `import haptix` loads no scipy
         self._check(x)
         B, T, _ = x.shape
         H = self.hidden

@@ -90,21 +90,45 @@ class GenConfig:
             raise ValueError("domain_shift must be > 0")
 
 
-def _ar1(rng: np.random.Generator, n: int, sigma: float,
-         phi: float = 0.95) -> np.ndarray:
-    """Stationary AR(1) noise: temporally correlated, marginal std sigma."""
-    if sigma == 0.0:
-        # Burn the same number of draws so channel content does not depend
-        # on which other channels are active.
-        rng.standard_normal(n)
-        return np.zeros(n)
-    eps = rng.standard_normal(n)
-    out = np.empty(n)
-    out[0] = sigma * eps[0]
+# The AR(1) noise channels, in the order each trial draws them: wrench fx,
+# fy, tx, ty, tz, then the true pose px, pz, rx, ry, rz.
+_N_AR1 = 10
+
+
+def _ar1_sigmas(cfg: GenConfig) -> np.ndarray:
+    """Marginal standard deviation of each AR(1) channel."""
+    s = cfg.domain_shift
+    force = cfg.noise_std * 2.0 * s
+    torque = cfg.noise_std * 0.5 * s
+    position = cfg.noise_std * 0.01
+    angle = cfg.noise_std * 0.02
+    return np.array([force, force, torque, torque, torque,
+                     position, position, angle, angle, angle])
+
+
+def _ar1(eps: np.ndarray, sigma: np.ndarray, phi: float = 0.95) -> np.ndarray:
+    """Stationary AR(1) noise, temporally correlated with marginal std sigma.
+
+    eps holds standard normal innovations shaped (trials, channels, samples)
+    and sigma one entry per channel. The recursion
+    out[i] = phi * out[i - 1] + c * eps[i] runs in place over every channel
+    of every trial at once, one vector step per sample, and is bit for bit
+    the scalar one. A channel with sigma 0 is +0.0 throughout.
+    """
     c = sigma * np.sqrt(1.0 - phi * phi)
-    for i in range(1, n):
-        out[i] = phi * out[i - 1] + c * eps[i]
-    return out
+    first = eps[:, :, 0] * sigma
+    for rows in eps:
+        # c * eps[i] for every i >= 1. One trial at a time: numpy copies a
+        # strided in-place operand whole.
+        rows *= c[:, None]
+    eps[:, :, 0] = first
+    step = np.empty(eps.shape[:2])
+    for i in range(1, eps.shape[2]):
+        # c * eps[i] + phi * out[i - 1]: addition commutes exactly
+        np.multiply(eps[:, :, i - 1], phi, out=step)
+        eps[:, :, i] += step
+    eps[:, sigma == 0.0] = 0.0
+    return eps
 
 
 def _fz_clean(t: np.ndarray, label: ComplianceClass, amp: float) -> np.ndarray:
@@ -118,11 +142,12 @@ def _fz_clean(t: np.ndarray, label: ComplianceClass, amp: float) -> np.ndarray:
     return np.interp(t, knots_t, knots_v)
 
 
-def _make_trial(rng: np.random.Generator, cfg: GenConfig,
-                label: ComplianceClass, index: int) -> Trial:
+def _make_trial(cfg: GenConfig, label: ComplianceClass, index: int,
+                t: np.ndarray, amp_draw: float, fz_noise: np.ndarray,
+                ar: np.ndarray, meas_noise: np.ndarray) -> Trial:
+    """One trial from its standard normal draws and its AR(1) channels."""
     s = cfg.domain_shift
-    n = int(round(cfg.duration * cfg.sample_rate)) + 1
-    t = np.arange(n) / cfg.sample_rate
+    n = t.size
 
     slot = index % len(_ITEM_JITTER)
     item = ITEMS_BY_CLASS[label][slot % len(ITEMS_BY_CLASS[label])]
@@ -131,7 +156,7 @@ def _make_trial(rng: np.random.Generator, cfg: GenConfig,
     # away over the grid, so raising noise_std genuinely blurs neighboring
     # classes into each other instead of just roughening the curves.
     amp = _ITEM_JITTER[slot] * max(
-        0.1, 1.0 + _TRIAL_JITTER * cfg.noise_std * rng.standard_normal())
+        0.1, 1.0 + _TRIAL_JITTER * cfg.noise_std * amp_draw)
     peak = _PROFILES[label][0] * amp * s
 
     fz_clean = _fz_clean(t, label, amp) * s
@@ -143,12 +168,8 @@ def _make_trial(rng: np.random.Generator, cfg: GenConfig,
     # profile; the other channels share one class-independent ramp so they
     # carry no class information through their variance.
     env = np.interp(t, [0.0, CONTACT_TIME, CONTACT_TIME + 0.3], [0.0, 0.0, 1.0])
-    fz = fz_clean + cfg.noise_std * fz_clean * rng.standard_normal(n)
-    fx = _ar1(rng, n, cfg.noise_std * 2.0 * s) * env
-    fy = _ar1(rng, n, cfg.noise_std * 2.0 * s) * env
-    tx = _ar1(rng, n, cfg.noise_std * 0.5 * s) * env
-    ty = _ar1(rng, n, cfg.noise_std * 0.5 * s) * env
-    tz = _ar1(rng, n, cfg.noise_std * 0.5 * s) * env
+    fz = fz_clean + cfg.noise_std * fz_clean * fz_noise
+    fx, fy, tx, ty, tz = ar[:5] * env
 
     wiggle = np.sin(2.0 * np.pi * 3.0 * (t - CONTACT_TIME)) * rel
     if not cfg.fz_only:
@@ -167,11 +188,7 @@ def _make_trial(rng: np.random.Generator, cfg: GenConfig,
     dt = 1.0 / cfg.sample_rate
     descent = np.concatenate([[0.0], np.cumsum((speed[1:] + speed[:-1]) * 0.5 * dt)])
     py_true = START_HEIGHT - descent
-    px_true = _ar1(rng, n, cfg.noise_std * 0.01)
-    pz_true = _ar1(rng, n, cfg.noise_std * 0.01)
-    rx_true = _ar1(rng, n, cfg.noise_std * 0.02)
-    ry_true = _ar1(rng, n, cfg.noise_std * 0.02)
-    rz_true = _ar1(rng, n, cfg.noise_std * 0.02)
+    px_true, pz_true, rx_true, ry_true, rz_true = ar[5:]
     if not cfg.fz_only and label is ComplianceClass.SOFT:
         rx_true = rx_true + 0.08 * wiggle
 
@@ -182,9 +199,9 @@ def _make_trial(rng: np.random.Generator, cfg: GenConfig,
     meas = cfg.noise_std * 0.01
     pose = np.column_stack([
         t,
-        lag(px_true) + meas * rng.standard_normal(n),
-        lag(py_true) + meas * rng.standard_normal(n),
-        lag(pz_true) + meas * rng.standard_normal(n),
+        lag(px_true) + meas * meas_noise[0],
+        lag(py_true) + meas * meas_noise[1],
+        lag(pz_true) + meas * meas_noise[2],
         lag(rx_true),
         lag(ry_true),
         lag(rz_true),
@@ -204,10 +221,25 @@ def _make_trial(rng: np.random.Generator, cfg: GenConfig,
 
 
 def generate(cfg: GenConfig) -> Dataset:
-    """Deterministic synthetic dataset: trials_per_class per compliance class."""
+    """Deterministic synthetic dataset: trials_per_class per compliance class.
+
+    The draws and the AR(1) recursion run one class at a time, which bounds
+    the memory beyond the returned trials to one class's draws.
+    """
     rng = np.random.default_rng(cfg.seed)
+    n = int(round(cfg.duration * cfg.sample_rate)) + 1
+    t = np.arange(n) / cfg.sample_rate
+    sigma = _ar1_sigmas(cfg)
     trials = []
+    meas = 1 + (1 + _N_AR1) * n
     for label in CLASS_ORDER:
-        for i in range(cfg.trials_per_class):
-            trials.append(_make_trial(rng, cfg, label, i))
+        # One row per trial, in the order the trial uses its draws: the
+        # amplitude, the fz noise, the AR(1) innovations, then the three pose
+        # measurement noises. The count does not depend on sigma, so a
+        # channel's content does not depend on which other channels are active.
+        z = rng.standard_normal((cfg.trials_per_class, meas + 3 * n))
+        ar = _ar1(z[:, 1 + n:meas].reshape(-1, _N_AR1, n), sigma)
+        for i, row in enumerate(z):
+            trials.append(_make_trial(cfg, label, i, t, float(row[0]), row[1:1 + n],
+                                      ar[i], row[meas:].reshape(3, n)))
     return Dataset(trials=tuple(trials))

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
+from scipy.special import betainc, gammaln, ndtr
 
 from haptix.core import (CLASS_ORDER, ITEM_CLASSES, ITEM_ORDER, ComplianceClass,
                          Dataset, Trial, class_index, normalize_item_name)
 from haptix.errors import DataError, DegenerateGroups, NoContact, TooFewTrials
 from haptix.evaluation import (
+    _MSW_FLOOR,
     ClassifierSpec,
     EvalReport,
     FoldSplit,
@@ -535,3 +537,85 @@ class TestTukey:
     def test_degenerate_groups(self):
         with pytest.raises(DegenerateGroups):
             tukey_hsd([[1.0, 2.0]])
+
+
+# The statistics as they were when evaluation.py built its Gauss-Legendre
+# tables at import and imported scipy.special at module level. The tables
+# are now built on first use and the imports happen inside the functions;
+# the values must not change in any bit.
+OLD_OUTER_X, OLD_OUTER_XW = np.polynomial.legendre.leggauss(160)
+OLD_INNER_Z, OLD_INNER_W = (lambda xw: (8.0 * xw[0], 8.0 * xw[1]))(
+    np.polynomial.legendre.leggauss(96))
+
+
+def old_studentized_range_cdf(q, k, df):
+    if q <= 0.0:
+        return 0.0
+    half = 12.0 / np.sqrt(2.0 * df)
+    lo, hi = max(0.0, 1.0 - half), min(6.0, 1.0 + half)
+    mid, span = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    s, sw = mid + span * OLD_OUTER_X, span * OLD_OUTER_XW
+    with np.errstate(divide="ignore"):
+        log_f = ((df / 2.0) * np.log(df) - gammaln(df / 2.0)
+                 - (df / 2.0 - 1.0) * np.log(2.0)
+                 + (df - 1.0) * np.log(s) - df * s * s / 2.0)
+    w = q * s
+    z = OLD_INNER_Z[None, :]
+    phi = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    inner = phi * np.power(
+        np.clip(ndtr(z) - ndtr(z - w[:, None]), 0.0, 1.0), k - 1)
+    cdf = float(np.sum(sw * np.exp(log_f) * (k * (inner @ OLD_INNER_W))))
+    return min(max(cdf, 0.0), 1.0)
+
+
+def old_anova_oneway(groups):
+    arrays = [np.asarray(g, dtype=np.float64) for g in groups]
+    n = sum(g.size for g in arrays)
+    df1, df2 = len(arrays) - 1, n - len(arrays)
+    grand = sum(g.sum() for g in arrays) / n
+    ssb = sum(g.size * (g.mean() - grand) ** 2 for g in arrays)
+    ssw = sum(((g - g.mean()) ** 2).sum() for g in arrays)
+    F = (ssb / df1) / max(ssw / df2, _MSW_FLOOR)
+    p = float(betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * F)))
+    return float(F), min(max(p, 0.0), 1.0)
+
+
+def old_ttest_2tailed(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    va, vb = a.var(ddof=1), b.var(ddof=1)
+    se2 = va / a.size + vb / b.size
+    t = (a.mean() - b.mean()) / np.sqrt(se2)
+    df = se2 * se2 / ((va / a.size) ** 2 / (a.size - 1)
+                      + (vb / b.size) ** 2 / (b.size - 1))
+    p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+    return float(t), min(max(p, 0.0), 1.0)
+
+
+class TestStatisticsBitwise:
+    GROUPS = [np.random.default_rng(seed).normal(
+        np.arange(k)[:, None] * 0.4, 1.0, size=(k, 7)) for seed, k in
+        ((31, 2), (32, 3), (33, 5))]
+
+    def test_studentized_range_cdf(self):
+        for q in (0.3, 1.0, 2.5, 3.77, 6.0, 11.0):
+            for k in (2, 3, 7):
+                for df in (1, 4.5, 12, 60, 1000):
+                    assert studentized_range_cdf(q, k, df) == \
+                        old_studentized_range_cdf(q, k, df)
+
+    def test_tukey_hsd(self):
+        for groups in self.GROUPS:
+            rows = tukey_hsd(groups)
+            df = sum(g.size for g in groups) - len(groups)
+            for row in rows:
+                p = 1.0 - old_studentized_range_cdf(row["q"], len(groups), df)
+                assert row["p"] == min(max(p, 0.0), 1.0)
+
+    def test_anova_oneway(self):
+        for groups in self.GROUPS:
+            assert anova_oneway(groups) == old_anova_oneway(groups)
+
+    def test_ttest_2tailed(self):
+        for groups in self.GROUPS:
+            a, b = groups[0], groups[-1] * 1.7
+            assert ttest_2tailed(a, b) == old_ttest_2tailed(a, b)
