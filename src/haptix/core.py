@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -259,14 +259,17 @@ def _parse_pose_row(row, lineno: int) -> list[float]:
             rx, ry, rz = quaternion_to_fixed_xyz(qw, qx, qy, qz)
         except ValueError as exc:
             raise MalformedRecord(lineno, str(exc)) from None
-        return [t, px, py, pz, rx, ry, rz]
-    if len(row) == 7:
+        # angles in (-pi, pi], which the wrap below leaves as they are
+        vals = [t, px, py, pz, rx, ry, rz]
+    elif len(row) == 7:
         vals = [float(v) for v in row]
-        vals[4] = wrap_angle(vals[4])
-        vals[5] = wrap_angle(vals[5])
-        vals[6] = wrap_angle(vals[6])
-        return vals
-    raise MalformedRecord(lineno, f"pose row has {len(row)} fields, expected 7 or 8")
+    else:
+        raise MalformedRecord(lineno, f"pose row has {len(row)} fields, expected 7 or 8")
+    # checked before wrapping, which cannot round a NaN or an infinity
+    if not all(math.isfinite(v) for v in vals):
+        raise MalformedRecord(lineno, "pose row contains NaN/Inf")
+    vals[4:] = [wrap_angle(a) for a in vals[4:]]
+    return vals
 
 
 def _stream_array(rows, width: int):
@@ -320,10 +323,7 @@ def _trial_from_record(rec: dict, lineno: int) -> Trial:
         for row in pose_rows:
             if not isinstance(row, (list, tuple)):
                 raise MalformedRecord(lineno, f"pose row must be a list: {row!r}")
-            vals = _parse_pose_row(row, lineno)
-            if not all(math.isfinite(v) for v in vals):
-                raise MalformedRecord(lineno, "pose row contains NaN/Inf")
-            pose.append(vals)
+            pose.append(_parse_pose_row(row, lineno))
         pose = np.asarray(pose, dtype=np.float64)
     try:
         return Trial(
@@ -417,13 +417,4 @@ def align_streams(trial: Trial, delay: float = DEFAULT_STREAM_DELAY) -> Trial:
             f"pose stream of trial {trial.id} has {pose.shape[0]} samples after "
             f"alignment with delay {delay}"
         )
-    return Trial(
-        id=trial.id,
-        subject=trial.subject,
-        session=trial.session,
-        food_item=trial.food_item,
-        label=trial.label,
-        wrench=trial.wrench,
-        pose=pose,
-        source=trial.source,
-    )
+    return replace(trial, pose=pose)

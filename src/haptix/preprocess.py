@@ -7,12 +7,12 @@ All functions are pure; identical inputs give bitwise-identical outputs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Trial
+from .core import POSE_COLUMNS, WRENCH_COLUMNS, Trial
 from .errors import (
     DegenerateSeries,
     DegenerateStream,
@@ -21,22 +21,15 @@ from .errors import (
     NoContact,
 )
 
-# Canonical channel order; derivative channels follow in the same order.
-ALL_CHANNELS = ("fx", "fy", "fz", "tx", "ty", "tz", "px", "py", "pz", "rx", "ry", "rz")
+# Canonical channel order, the stream columns after time; derivative channels
+# follow in the same order.
+ALL_CHANNELS = WRENCH_COLUMNS[1:] + POSE_COLUMNS[1:]
 
 CHANNEL_GROUPS = {
     "force": ("fx", "fy", "fz"),
     "torque": ("tx", "ty", "tz"),
     "position": ("px", "py", "pz"),
     "rotation": ("rx", "ry", "rz"),
-}
-
-# channel -> (stream attribute, column index within the stream array)
-_CHANNEL_SOURCE = {
-    "fx": ("wrench", 1), "fy": ("wrench", 2), "fz": ("wrench", 3),
-    "tx": ("wrench", 4), "ty": ("wrench", 5), "tz": ("wrench", 6),
-    "px": ("pose", 1), "py": ("pose", 2), "pz": ("pose", 3),
-    "rx": ("pose", 4), "ry": ("pose", 5), "rz": ("pose", 6),
 }
 
 GRID_STEPS = 64
@@ -214,8 +207,7 @@ def extract_window(trial: Trial, t0: float,
 
     def cut(stream, name):
         t = stream[:, 0]
-        keep = (t >= t0) & (t <= t1)
-        seg = stream[keep].copy()
+        seg = stream[(t >= t0) & (t <= t1)]
         if seg.shape[0] < 2:
             raise DegenerateStream(
                 f"{name} stream of trial {trial.id} has {seg.shape[0]} samples "
@@ -224,20 +216,24 @@ def extract_window(trial: Trial, t0: float,
         seg[:, 0] -= t0
         return seg
 
-    wrench = cut(trial.wrench, "wrench")
-    pose = cut(trial.pose, "pose")
+    seg = replace(trial, wrench=cut(trial.wrench, "wrench"),
+                  pose=cut(trial.pose, "pose"))
     truncated = min(trial.wrench[-1, 0], trial.pose[-1, 0]) <= t1
-    seg = Trial(
-        id=trial.id,
-        subject=trial.subject,
-        session=trial.session,
-        food_item=trial.food_item,
-        label=trial.label,
-        wrench=wrench,
-        pose=pose,
-        source=trial.source,
-    )
     return WindowedTrial(trial=seg, truncated=truncated)
+
+
+def _grid(stream: np.ndarray, cols, n: int) -> np.ndarray:
+    """resample_linear of the columns `cols` of a stream at once, as an
+    (n, len(cols)) array; column 0 holds the times, which the caller has
+    checked: at least two, strictly increasing."""
+    t = stream[:, 0]
+    grid = np.linspace(t[0], t[-1], n)
+    if t.shape[0] == n and np.array_equal(t, grid):
+        return stream[:, cols]
+    out = np.column_stack([np.interp(grid, t, stream[:, c]) for c in cols])
+    out[0] = stream[0, cols]
+    out[-1] = stream[-1, cols]
+    return out
 
 
 def resample_linear(series, n: int = GRID_STEPS) -> np.ndarray:
@@ -245,7 +241,7 @@ def resample_linear(series, n: int = GRID_STEPS) -> np.ndarray:
 
     Grid point i sits at t_first + i * (t_last - t_first) / (n - 1); the
     endpoints reproduce the input exactly, and input already on the grid
-    passes through unchanged.
+    passes through as a copy.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -254,22 +250,14 @@ def resample_linear(series, n: int = GRID_STEPS) -> np.ndarray:
         raise ValueError(f"series must be (m, 2) pairs, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise DegenerateSeries(f"series has {arr.shape[0]} points, need >= 2")
-    t, v = arr[:, 0], arr[:, 1]
-    if np.any(np.diff(t) <= 0.0):
+    if not np.all(np.diff(arr[:, 0]) > 0.0):
         raise ValueError("series times must be strictly increasing")
-    if t[-1] == t[0]:
-        raise DegenerateSeries("series spans zero time")
-    grid = np.linspace(t[0], t[-1], n)
-    if arr.shape[0] == n and np.array_equal(t, grid):
-        return v.copy()
-    out = np.interp(grid, t, v)
-    out[0] = v[0]
-    out[-1] = v[-1]
-    return out
+    return _grid(arr, [1], n)[:, 0]
 
 
 def first_derivative(grid_values, dt: float) -> np.ndarray:
-    """Finite-difference derivative on a uniform grid, same length as input.
+    """Finite-difference derivative along axis 0 of a uniform grid of one
+    channel (1-D) or of one channel per column (2-D), same shape as input.
 
     Central differences inside, second-order one-sided stencils at the ends
     (plain one-sided when only two points exist).
@@ -277,12 +265,12 @@ def first_derivative(grid_values, dt: float) -> np.ndarray:
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     v = np.asarray(grid_values, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] < 2:
-        raise ValueError("grid_values must be 1-D with >= 2 points")
+    if v.ndim not in (1, 2) or v.shape[0] < 2:
+        raise ValueError("grid_values must be 1-D or 2-D with >= 2 points")
     if v.shape[0] == 2:
         d = (v[1] - v[0]) / dt
         return np.array([d, d])
-    return np.gradient(v, dt, edge_order=2)
+    return np.gradient(v, dt, axis=0, edge_order=2)
 
 
 def fit_norm(X, channel_names) -> NormStats:
@@ -304,24 +292,24 @@ def fit_norm(X, channel_names) -> NormStats:
 def assemble_features(trial: Trial, fs: FeatureSet,
                       stats: Optional[NormStats] = None,
                       n: int = GRID_STEPS) -> np.ndarray:
-    """Resample each selected channel to the n-grid and stack the columns
+    """Grid each stream's selected channels onto the n-grid and stack them
     into an (n, F) array ordered like fs.channel_names.
 
     Derivative channels (when enabled) are computed on the grid from the
     resampled values; z-scoring is applied only when stats is given.
     """
-    cols = []
+    raw = []
     derivs = []
-    for name in fs.channels:
-        attr, idx = _CHANNEL_SOURCE[name]
-        stream = getattr(trial, attr)
-        series = np.column_stack([stream[:, 0], stream[:, idx]])
-        vals = resample_linear(series, n)
-        cols.append(vals)
-        if fs.derivatives:
-            span = stream[-1, 0] - stream[0, 0]
-            derivs.append(first_derivative(vals, span / (n - 1)))
-    values = np.column_stack(cols + derivs)
+    for stream, names in ((trial.wrench, WRENCH_COLUMNS),
+                          (trial.pose, POSE_COLUMNS)):
+        cols = [i for i, name in enumerate(names) if name in fs.channels]
+        if cols:
+            vals = _grid(stream, cols, n)
+            raw.append(vals)
+            if fs.derivatives:
+                span = stream[-1, 0] - stream[0, 0]
+                derivs.append(first_derivative(vals, span / (n - 1)))
+    values = np.concatenate(raw + derivs, axis=1)
     _check_finite(values)
     if stats is not None:
         values = stats.apply(values)
@@ -341,10 +329,11 @@ class PreprocConfig:
     grid: int = GRID_STEPS
 
     def __post_init__(self):
-        if self.threshold <= 0 or self.hold < 0 or self.grid < 2:
+        if not (0 < self.threshold < np.inf and 0 <= self.hold < np.inf
+                and self.grid >= 2):
             raise ValueError("invalid preprocessing parameters")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError("duration must be > 0")
+        if self.duration is not None and not 0 < self.duration < np.inf:
+            raise ValueError("duration must be finite and > 0")
 
 
 def prepare_trial(trial: Trial, fs: FeatureSet,

@@ -100,6 +100,21 @@ class TestIngest:
         assert rc == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("col", [4, 5, 6])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_rotation_is_data_error(self, data_file, tmp_path,
+                                               capsys, token, col):
+        lines = data_file.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["pose"][3][col] = None
+        lines[1] = json.dumps(rec).replace("null", token)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["ingest", "--data", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "data error: line 2: pose row contains NaN/Inf\n")
+
 
 class TestTrain:
     def test_svm_artifacts(self, data_file, tmp_path):

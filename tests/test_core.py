@@ -261,6 +261,20 @@ class TestTrialFileIO:
             load_trials(p)
         assert exc.value.line_number == 1
 
+    @pytest.mark.parametrize("col", [4, 5, 6])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_rotation_rejected_with_line_number(self, tmp_path,
+                                                           token, col):
+        # a 7-field pose row's angles are wrapped, which must not see them
+        rec = self._record()
+        rec["pose"][1][col] = None
+        p = tmp_path / "trials.jsonl"
+        good = json.dumps(self._record())
+        p.write_text(good + "\n" + json.dumps(rec).replace("null", token) + "\n")
+        with pytest.raises(MalformedRecord,
+                           match="^line 2: pose row contains NaN/Inf$"):
+            load_trials(p)
+
     def test_unknown_source_rejected(self, tmp_path):
         p = tmp_path / "trials.jsonl"
         p.write_text(json.dumps(self._record(source="simulated")) + "\n")

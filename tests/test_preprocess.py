@@ -277,6 +277,13 @@ class TestResample:
         with pytest.raises(ValueError):
             resample_linear(np.array([[0.0, 1.0], [0.0, 2.0]]), 4)
 
+    @pytest.mark.parametrize("t", [[np.inf, np.inf], [np.nan, 1.0],
+                                   [0.0, np.nan]])
+    def test_times_without_order_rejected(self, t):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                resample_linear(np.column_stack([t, [1.0, 2.0]]), 4)
+
     def test_n_validation(self):
         with pytest.raises(ValueError):
             resample_linear(np.array([[0.0, 1.0], [1.0, 2.0]]), 1)
@@ -302,6 +309,21 @@ class TestFirstDerivative:
     def test_dt_validation(self):
         with pytest.raises(ValueError):
             first_derivative(np.array([1.0, 2.0, 3.0]), 0.0)
+
+    def test_shape_validation(self):
+        for bad in (np.zeros((1, 3)), np.zeros((4, 2, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError, match=">= 2 points"):
+                first_derivative(bad, 0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 70), st.integers(1, 6),
+           st.floats(1e-4, 10.0), st.integers(0, 2 ** 32 - 1))
+    def test_columns_match_one_dimensional(self, g, k, dt, seed):
+        V = np.random.default_rng(seed).normal(0.0, 5.0, size=(g, k))
+        D = first_derivative(V, dt)
+        assert D.shape == (g, k)
+        for j in range(k):
+            assert D[:, j].tobytes() == first_derivative(V[:, j], dt).tobytes()
 
 
 def alternating_overflow_trial():
@@ -423,6 +445,86 @@ class TestAssembleFeatures:
         assert fm.shape == (32, 1)
 
 
+# channel -> (stream attribute, column index within the stream array): the
+# per-column layout that assemble_features_oracle grids by
+_CHANNEL_SOURCE = {
+    "fx": ("wrench", 1), "fy": ("wrench", 2), "fz": ("wrench", 3),
+    "tx": ("wrench", 4), "ty": ("wrench", 5), "tz": ("wrench", 6),
+    "px": ("pose", 1), "py": ("pose", 2), "pz": ("pose", 3),
+    "rx": ("pose", 4), "ry": ("pose", 5), "rz": ("pose", 6),
+}
+
+
+def resample_oracle(series, n):
+    """Oracle: one (t, value) series onto the n-grid, as resample_linear
+    computed it column by column."""
+    arr = np.asarray(series, dtype=np.float64)
+    t, v = arr[:, 0], arr[:, 1]
+    assert not np.any(np.diff(t) <= 0.0)
+    grid = np.linspace(t[0], t[-1], n)
+    if arr.shape[0] == n and np.array_equal(t, grid):
+        return v.copy()
+    out = np.interp(grid, t, v)
+    out[0] = v[0]
+    out[-1] = v[-1]
+    return out
+
+
+def assemble_features_oracle(trial, fs, n):
+    """Oracle: every selected channel gridded on its own, and its derivative
+    from its own 1-D grid."""
+    cols = []
+    derivs = []
+    for name in fs.channels:
+        attr, idx = _CHANNEL_SOURCE[name]
+        stream = getattr(trial, attr)
+        series = np.column_stack([stream[:, 0], stream[:, idx]])
+        vals = resample_oracle(series, n)
+        assert resample_linear(series, n).tobytes() == vals.tobytes()
+        cols.append(vals)
+        if fs.derivatives:
+            span = stream[-1, 0] - stream[0, 0]
+            derivs.append(first_derivative(vals, span / (n - 1)))
+    return np.column_stack(cols + derivs)
+
+
+@st.composite
+def gridding_cases(draw):
+    """A trial whose two streams differ in length, start and span, a grid
+    size and a feature set. A stream may hold 2 samples, or sit exactly on
+    the grid (the pass-through)."""
+    n = draw(st.sampled_from([2, 3, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    streams = []
+    for _ in range(2):
+        t0 = draw(st.floats(0.0, 5.0))
+        span = draw(st.floats(1e-3, 3.0))
+        layout = draw(st.sampled_from(["irregular", "two", "on-grid"]))
+        if layout == "on-grid":
+            t = np.linspace(t0, t0 + span, n)
+        else:
+            m = 2 if layout == "two" else draw(st.integers(2, 90))
+            steps = np.cumsum(rng.uniform(0.05, 1.0, m - 1))
+            t = np.concatenate([[t0], t0 + span * steps / steps[-1]])
+        scale = 10.0 ** rng.integers(-3, 4, size=6)
+        streams.append(np.column_stack(
+            [t, rng.normal(size=(t.shape[0], 6)) * scale]))
+    chans = draw(st.lists(st.sampled_from(ALL_CHANNELS), min_size=1,
+                          unique=True))
+    fs = FeatureSet(channels=tuple(chans), derivatives=draw(st.booleans()))
+    return make_trial(*streams), fs, n
+
+
+class TestStreamGridding:
+    @settings(max_examples=300, deadline=None)
+    @given(gridding_cases())
+    def test_matches_per_column_oracle(self, case):
+        trial, fs, n = case
+        out = assemble_features(trial, fs, n=n)
+        assert out.shape == (n, len(fs.channel_names))
+        assert out.tobytes() == assemble_features_oracle(trial, fs, n).tobytes()
+
+
 class TestPrepareTrial:
     def test_end_to_end_shape_and_label(self):
         tr = ramp_trial(n=180, rate=120.0)
@@ -453,3 +555,10 @@ class TestPrepareTrial:
             PreprocConfig(duration=0.0)
         with pytest.raises(ValueError):
             PreprocConfig(grid=1)
+
+    @pytest.mark.parametrize("field", ["threshold", "hold", "duration"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        # comparisons with NaN are false, so NaN must not slip past a bound
+        with pytest.raises(ValueError):
+            PreprocConfig(**{field: value})

@@ -14,7 +14,11 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(BENCH))
 
 import layers  # noqa: E402
-from tracing import Shims, Tracer  # noqa: E402
+from tracing import Shims, Tracer, summarize  # noqa: E402
+
+from haptix import evaluation  # noqa: E402
+from haptix.preprocess import FeatureSet  # noqa: E402
+from haptix.synthgen import GenConfig, generate  # noqa: E402
 
 TARGETS = layers.make_targets({})
 
@@ -25,3 +29,26 @@ def test_target_resolves(target):
     with Shims(tracer, [target], package="haptix"):
         pass
     assert tracer.missing == [], f"haptix.{target.module}.{target.attr} not found"
+
+
+# the chain every trial goes through on its way to the feature tensor
+PER_TRIAL = ("core.align_streams", "preprocess.detect_contact",
+             "preprocess.extract_window", "preprocess.assemble_features",
+             "preprocess.prepare_trial")
+
+
+def test_feature_tensor_calls_each_traced_stage_once_per_trial():
+    """A refactor that bypasses a traced function turns its per-layer
+    metric to 0; this catches it."""
+    ds = generate(GenConfig(trials_per_class=2, seed=5))
+    contacts = {}
+    tracer = Tracer()
+    with Shims(tracer, layers.make_targets(contacts), package="haptix"):
+        evaluation.feature_tensor(ds, FeatureSet.parse("all+deriv"))
+    assert tracer.missing == []
+    rows = summarize(tracer.spans)
+    for span in PER_TRIAL:
+        assert rows.get(span, {}).get("calls") == len(ds), span
+    assert "truncated" in rows["preprocess.extract_window"]
+    assert {"samples", "candidates"} <= set(rows["preprocess.detect_contact"])
+    assert set(contacts) == {t.id for t in ds.trials}
