@@ -18,7 +18,6 @@ from .core import (
 from .errors import (
     DataError,
     DegenerateGroups,
-    DegenerateSeries,
     DegenerateStream,
     DimensionMismatch,
     EmptyDataset,
@@ -46,7 +45,7 @@ from .evaluation import (
     tukey_hsd,
 )
 from .hmm import HmmModel, baum_welch, forward_loglik
-from .nn import LstmModel, TcnModel, TrainConfig, cross_entropy, grad_check, softmax, train
+from .nn import LstmModel, TcnModel, TrainConfig, grad_check, train
 from .preprocess import (
     FeatureSet,
     NormStats,
@@ -56,7 +55,6 @@ from .preprocess import (
     first_derivative,
     fit_norm,
     prepare_trial,
-    resample_linear,
 )
 from .svm import SvmModel, flatten, predict_svm, train_svm
 from .synthgen import GenConfig, generate

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import evaluation as ev
 from . import nn as nn_mod
-from .core import CLASS_ORDER, Source, class_index, load_trials, save_trials
+from .core import CLASS_ORDER, Source, load_trials, save_trials
 from .errors import DataError, NumericalError
 from .preprocess import FeatureSet, PreprocConfig, fit_norm
 from .synthgen import GenConfig, generate
@@ -248,6 +248,21 @@ def _write_run_json(cfg: dict, path) -> None:
                           encoding="utf-8")
 
 
+def _write_report(report: ev.EvalReport, run: dict, folds: bool = False) -> int:
+    """report.json, confusion.csv, folds.csv if asked, and run.json under
+    run["out"], then the summary line."""
+    out = _outdir(run["out"])
+    (out / "report.json").write_text(
+        json.dumps(ev.report_to_dict(report), indent=2) + "\n", encoding="utf-8")
+    ev.write_confusion_csv(report, out / "confusion.csv")
+    if folds:
+        ev.write_folds_csv(report, out / "folds.csv")
+    _write_run_json(run, out / "run.json")
+    print(f"{report.classifier} {report.feature_set} "
+          f"{report.mean_accuracy:.4f} ± {report.std_accuracy:.4f}")
+    return 0
+
+
 def _preproc_from(cfg: dict) -> PreprocConfig:
     duration = None if cfg["full_phase"] else cfg["duration"]
     return PreprocConfig(threshold=cfg["threshold"], hold=cfg["hold"],
@@ -305,8 +320,8 @@ def _cmd_train(args) -> int:
     X = ev.feature_tensor(ds, fs, _preproc_from(cfg), cfg["delay"])
     stats = fit_norm(X, fs.channel_names)
     params = ev.fit_params(ev.ClassifierSpec(args.clf, _params_from(cfg)), fs)
-    model = ev.fit_model(stats.apply(X), [class_index(t.label) for t in ds.trials],
-                         ev.CLASS_LABELS, cfg["seed"], params)
+    model = ev.fit_model(stats.apply(X), ev.label_indices(ds), ev.CLASS_LABELS,
+                         cfg["seed"], params)
     out = _outdir(args.out)
     ev.FAMILIES[args.clf].save_model(model, out / "model.json")
     curve = getattr(model, "loss_curve", None)
@@ -338,10 +353,11 @@ def _evaluate_with_cfg(cfg: dict) -> int:
     split = ev.kfold_split(ds, cfg["k"], seed=cfg["seed"],
                            group_by=cfg["group_by"])
     params = _params_from(cfg)
+    X = ev.feature_tensor(ds, fs, preproc, cfg["delay"])
+    y = ev.label_indices(ds, cfg["per_item"])
 
     def cv(spec: ev.ClassifierSpec) -> ev.EvalReport:
-        return ev.run_cv(ds, spec, fs, split, preproc, cfg["delay"],
-                         per_item=cfg["per_item"])
+        return ev.run_cv(X, y, split, spec, fs, per_item=cfg["per_item"])
 
     if sweep:
         lines = ["states,mean_accuracy,std_accuracy"]
@@ -355,16 +371,8 @@ def _evaluate_with_cfg(cfg: dict) -> int:
                                               encoding="utf-8")
         _write_run_json(cfg, out / "run.json")
         return 0
-    report = cv(ev.ClassifierSpec(cfg["clf"], params))
-    out = _outdir(cfg["out"])
-    (out / "report.json").write_text(
-        json.dumps(ev.report_to_dict(report), indent=2) + "\n", encoding="utf-8")
-    ev.write_confusion_csv(report, out / "confusion.csv")
-    ev.write_folds_csv(report, out / "folds.csv")
-    _write_run_json(cfg, out / "run.json")
-    print(f"{report.classifier} {report.feature_set} "
-          f"{report.mean_accuracy:.4f} ± {report.std_accuracy:.4f}")
-    return 0
+    return _write_report(cv(ev.ClassifierSpec(cfg["clf"], params)), cfg,
+                         folds=True)
 
 
 def _cmd_evaluate(args) -> int:
@@ -427,18 +435,14 @@ def _cmd_cross_domain(args) -> int:
     test_ds = load_trials(test_path)
     fs = FeatureSet.parse(cfg["features"])
     spec = ev.ClassifierSpec(args.clf, _params_from(cfg))
-    report = ev.cross_domain_eval(train_ds, test_ds, spec, fs,
-                                  _preproc_from(cfg), cfg["delay"], cfg["seed"])
-    out = _outdir(args.out)
-    (out / "report.json").write_text(
-        json.dumps(ev.report_to_dict(report), indent=2) + "\n", encoding="utf-8")
-    ev.write_confusion_csv(report, out / "confusion.csv")
+    preproc = _preproc_from(cfg)
+    X_train = ev.feature_tensor(train_ds, fs, preproc, cfg["delay"])
+    X_test = ev.feature_tensor(test_ds, fs, preproc, cfg["delay"])
+    report = ev.cross_domain_eval(X_train, ev.label_indices(train_ds), X_test,
+                                  ev.label_indices(test_ds), spec, fs, cfg["seed"])
     run = dict(cfg, command="cross-domain", train_data=str(train_path),
                test_data=str(test_path), clf=args.clf, out=str(args.out))
-    _write_run_json(run, out / "run.json")
-    print(f"{report.classifier} {report.feature_set} "
-          f"{report.mean_accuracy:.4f} ± {report.std_accuracy:.4f}")
-    return 0
+    return _write_report(report, run)
 
 
 def _cmd_report(args) -> int:

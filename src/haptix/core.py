@@ -281,7 +281,7 @@ def _stream_array(rows, width: int):
         return None
     if arr.ndim != 2 or arr.shape[1] != width or arr.dtype.kind not in "fi":
         return None
-    arr = arr.astype(np.float64)
+    arr = arr.astype(np.float64, copy=False)
     return arr if np.isfinite(arr).all() else None
 
 

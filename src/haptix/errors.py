@@ -37,10 +37,6 @@ class NoContact(DataError):
     pass
 
 
-class DegenerateSeries(DataError):
-    pass
-
-
 class EmptyTrainingSet(DataError):
     pass
 

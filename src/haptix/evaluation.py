@@ -11,7 +11,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from . import nn as nn_mod
 from . import svm as svm_mod
 from .core import (
     CLASS_ORDER,
-    ComplianceClass,
     Dataset,
     DEFAULT_STREAM_DELAY,
     ITEM_CLASSES,
@@ -45,20 +44,21 @@ _MSW_FLOOR = 1e-12
 # ---------------------------------------------------------------------------
 # fold assignment
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldSplit:
     k: int
-    assignments: dict  # trial id -> fold index
+    folds: np.ndarray  # fold index of each trial, in dataset order
     seed: int
     stratified: bool = True
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        folds = set(self.assignments.values())
-        if folds and (min(folds) < 0 or max(folds) >= self.k):
+        folds = np.array(self.folds, dtype=np.int64)
+        if folds.size and (folds.min() < 0 or folds.max() >= self.k):
             raise ValueError("fold indices out of range")
-        object.__setattr__(self, "assignments", dict(self.assignments))
+        folds.setflags(write=False)
+        object.__setattr__(self, "folds", folds)
 
 
 def kfold_split(ds: Dataset, k: int, seed: int = 0, stratified: bool = True,
@@ -74,31 +74,28 @@ def kfold_split(ds: Dataset, k: int, seed: int = 0, stratified: bool = True,
     if len(set(ids)) != len(ids):
         raise DataError("duplicate trial ids prevent fold assignment")
     rng = np.random.default_rng(seed)
-    assignments: dict[str, int] = {}
+    folds = np.empty(len(ids), dtype=np.int64)
     if group_by is not None:
         if group_by != "subject":
             raise ValueError(f"unsupported group_by {group_by!r}")
         subjects = sorted({t.subject for t in ds.trials})
         if len(subjects) < k:
             raise TooFewTrials("subject", k, len(subjects))
-        order = list(rng.permutation(len(subjects)))
+        order = rng.permutation(len(subjects))
         fold_of = {subjects[j]: i % k for i, j in enumerate(order)}
-        for t in ds.trials:
-            assignments[t.id] = fold_of[t.subject]
-        return FoldSplit(k=k, assignments=assignments, seed=seed, stratified=False)
+        folds[:] = [fold_of[t.subject] for t in ds.trials]
+        return FoldSplit(k=k, folds=folds, seed=seed, stratified=False)
     if stratified:
+        y = label_indices(ds)
         for offset, c in enumerate(CLASS_ORDER):
-            members = [t.id for t in ds.trials if t.label is c]
-            if len(members) < k:
-                raise TooFewTrials(c.label, k, len(members))
-            perm = rng.permutation(len(members))
-            for j, idx in enumerate(perm):
-                assignments[members[idx]] = (j + offset) % k
+            members = np.flatnonzero(y == offset)
+            if members.size < k:
+                raise TooFewTrials(c.label, k, members.size)
+            perm = rng.permutation(members.size)
+            folds[members[perm]] = (np.arange(members.size) + offset) % k
     else:
-        perm = rng.permutation(len(ids))
-        for j, idx in enumerate(perm):
-            assignments[ids[idx]] = j % k
-    return FoldSplit(k=k, assignments=assignments, seed=seed, stratified=stratified)
+        folds[rng.permutation(len(ids))] = np.arange(len(ids)) % k
+    return FoldSplit(k=k, folds=folds, seed=seed, stratified=stratified)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +257,23 @@ def feature_tensor(ds: Dataset, fs: FeatureSet,
                      for t in ds.trials])
 
 
+def label_indices(ds: Dataset, per_item: bool = False) -> np.ndarray:
+    """Each trial's label in dataset order: an index into CLASS_LABELS, or
+    into ITEM_ORDER when per_item."""
+    if per_item:
+        return np.array([ITEM_ORDER.index(normalize_item_name(t.food_item))
+                         for t in ds.trials], dtype=np.int64)
+    return np.array([class_index(t.label) for t in ds.trials], dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
-# cross validation
+# scoring
 
-def _item_index(trial) -> int:
-    return ITEM_ORDER.index(normalize_item_name(trial.food_item))
-
-_ITEM_TO_CLASS_IDX = np.array([class_index(ITEM_CLASSES[i]) for i in ITEM_ORDER])
+# 0/1 item -> class matrix: C @ item_tally @ C.T sums a 12x12 item tally into
+# the 4x4 class tally
+_ITEM_CLASS = np.equal.outer(np.arange(len(CLASS_ORDER)),
+                             [class_index(ITEM_CLASSES[i]) for i in ITEM_ORDER]
+                             ).astype(np.int64)
 
 
 def _tally(y_true, y_pred, n: int) -> np.ndarray:
@@ -275,56 +282,53 @@ def _tally(y_true, y_pred, n: int) -> np.ndarray:
     return np.bincount(pairs, minlength=n * n).reshape(n, n)
 
 
-def run_cv(ds: Dataset, spec: ClassifierSpec, fs: FeatureSet, split: FoldSplit,
-           preproc: PreprocConfig = PreprocConfig(),
-           delay: float = DEFAULT_STREAM_DELAY,
-           per_item: bool = False,
-           trainer: Optional[Callable] = None) -> EvalReport:
-    """k-fold cross validation with per-fold normalization statistics.
+def _confusion(X_train, y_train, X_test, y_test, labels, seed, params):
+    """Tally of a model fitted on one tensor and scored on another. The
+    normalization statistics come from X_train alone."""
+    stats = fit_norm(X_train, params["channel_names"])
+    pred = _fit_predict(stats.apply(X_train), y_train, labels,
+                        stats.apply(X_test), seed, params)
+    if len(pred) != len(y_test):
+        raise ValueError("trainer returned wrong number of predictions")
+    return _tally(y_test, pred, len(labels))
 
-    per_item trains a 12-way item classifier; item predictions are collapsed
-    to compliance classes for the headline accuracy and 4x4 confusion, and
-    the raw 12x12 item confusion is attached to the report.
+
+def run_cv(X, y, split: FoldSplit, spec: ClassifierSpec, fs: FeatureSet,
+           per_item: bool = False) -> EvalReport:
+    """k-fold cross validation of the (N, G, F) tensor X with labels y (see
+    label_indices), with per-fold normalization statistics.
+
+    per_item: y indexes ITEM_ORDER and trains a 12-way item classifier; item
+    predictions are collapsed to compliance classes for the headline
+    accuracy and 4x4 confusion, and the raw 12x12 item confusion is attached
+    to the report.
     """
-    for trial in ds.trials:
-        if trial.id not in split.assignments:
-            raise ValueError(f"trial {trial.id} missing from fold assignments")
-    fit = trainer if trainer is not None else _fit_predict
-    X = feature_tensor(ds, fs, preproc, delay)
-    if per_item:
-        y_all = np.array([_item_index(t) for t in ds.trials])
-        labels = ITEM_ORDER
-    else:
-        y_all = np.array([class_index(t.label) for t in ds.trials])
-        labels = CLASS_LABELS
-    fold_of = np.array([split.assignments[t.id] for t in ds.trials])
+    y = np.asarray(y)
+    if len(split.folds) != len(X):
+        raise ValueError(f"fold split covers {len(split.folds)} trials, "
+                         f"the feature tensor {len(X)}")
+    labels = ITEM_ORDER if per_item else CLASS_LABELS
     params = fit_params(spec, fs)
     L = len(CLASS_ORDER)
     confusion = np.zeros((L, L), dtype=np.int64)
     item_conf = np.zeros((len(ITEM_ORDER),) * 2, dtype=np.int64) if per_item else None
     per_fold = []
     for fold in range(split.k):
-        train_idx = np.flatnonzero(fold_of != fold)
-        test_idx = np.flatnonzero(fold_of == fold)
-        if not train_idx.size or not test_idx.size:
+        test = split.folds == fold
+        if test.all() or not test.any():
             raise TooFewTrials("fold", 1, 0)
-        Xn = fit_norm(X[train_idx], fs.channel_names).apply(X)
         fold_seed = split.seed * 100003 + fold * 17 + 1
         try:
-            pred = fit(Xn[train_idx], y_all[train_idx], labels, Xn[test_idx],
-                       fold_seed, params)
+            fold_conf = _confusion(X[~test], y[~test], X[test], y[test],
+                                   labels, fold_seed, params)
         except HaptixError as exc:
             exc.args = (f"fold {fold}: {exc}",)
             raise
-        if len(pred) != len(test_idx):
-            raise ValueError("trainer returned wrong number of predictions")
-        y_true = y_all[test_idx]
         if per_item:
-            item_conf += _tally(y_true, pred, len(ITEM_ORDER))
-            y_true, pred = _ITEM_TO_CLASS_IDX[y_true], _ITEM_TO_CLASS_IDX[pred]
-        fold_conf = _tally(y_true, pred, L)
+            item_conf += fold_conf
+            fold_conf = _ITEM_CLASS @ fold_conf @ _ITEM_CLASS.T
         confusion += fold_conf
-        per_fold.append(int(np.trace(fold_conf)) / len(test_idx))
+        per_fold.append(int(np.trace(fold_conf)) / int(test.sum()))
     return EvalReport(
         classifier=spec.kind, feature_set=fs.spec_string(), k=split.k,
         seed=split.seed, per_fold=tuple(per_fold), confusion=confusion,
@@ -341,10 +345,12 @@ def ablate_features(ds: Dataset, spec: ClassifierSpec,
     """One run_cv per feature set on identical folds, best first."""
     if not feature_sets:
         raise ValueError("need at least one feature set")
+    y = label_indices(ds)
     rows = []
     widths = {}
     for fs in feature_sets:
-        report = run_cv(ds, spec, fs, split, preproc, delay)
+        X = feature_tensor(ds, fs, preproc, delay)
+        report = run_cv(X, y, split, spec, fs)
         rows.append({
             "feature_set": fs.spec_string(),
             "mean_accuracy": report.mean_accuracy,
@@ -359,21 +365,11 @@ def ablate_features(ds: Dataset, spec: ClassifierSpec,
     return rows
 
 
-def cross_domain_eval(train_ds: Dataset, test_ds: Dataset, spec: ClassifierSpec,
-                      fs: FeatureSet, preproc: PreprocConfig = PreprocConfig(),
-                      delay: float = DEFAULT_STREAM_DELAY,
-                      seed: int = 0,
-                      trainer: Optional[Callable] = None) -> EvalReport:
-    """Train once on all of train_ds, evaluate on all of test_ds."""
-    fit = trainer if trainer is not None else _fit_predict
-    X_train = feature_tensor(train_ds, fs, preproc, delay)
-    X_test = feature_tensor(test_ds, fs, preproc, delay)
-    stats = fit_norm(X_train, fs.channel_names)
-    y_train = np.array([class_index(t.label) for t in train_ds.trials])
-    y_test = [class_index(t.label) for t in test_ds.trials]
-    pred = fit(stats.apply(X_train), y_train, CLASS_LABELS,
-               stats.apply(X_test), seed, fit_params(spec, fs))
-    confusion = _tally(y_test, pred, len(CLASS_ORDER))
+def cross_domain_eval(X_train, y_train, X_test, y_test, spec: ClassifierSpec,
+                      fs: FeatureSet, seed: int = 0) -> EvalReport:
+    """Train once on all of X_train, evaluate on all of X_test."""
+    confusion = _confusion(X_train, y_train, X_test, y_test, CLASS_LABELS,
+                           seed, fit_params(spec, fs))
     acc = int(np.trace(confusion)) / len(y_test)
     return EvalReport(classifier=spec.kind, feature_set=fs.spec_string(),
                       k=1, seed=seed, per_fold=(acc,), confusion=confusion,

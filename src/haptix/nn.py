@@ -20,22 +20,6 @@ from .errors import DimensionMismatch, NonFiniteLoss
 PROB_CLAMP = 1e-12
 
 
-def softmax(logits) -> np.ndarray:
-    """Stable softmax along the last axis (max-subtraction)."""
-    z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits must be finite")
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(probabilities, label: int) -> float:
-    """-log p[label], with p clamped at 1e-12 before the log."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    return float(-np.log(max(p[label], PROB_CLAMP)))
-
-
 def _batch_ce(logits: np.ndarray, y: np.ndarray):
     """Mean cross-entropy over a batch plus the logits gradient.
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import POSE_COLUMNS, WRENCH_COLUMNS, Trial
 from .errors import (
-    DegenerateSeries,
     DegenerateStream,
     DimensionMismatch,
     EmptyTrainingSet,
@@ -223,36 +222,15 @@ def extract_window(trial: Trial, t0: float,
 
 
 def _grid(stream: np.ndarray, cols, n: int) -> np.ndarray:
-    """resample_linear of the columns `cols` of a stream at once, as an
-    (n, len(cols)) array; column 0 holds the times, which the caller has
-    checked: at least two, strictly increasing."""
+    """The columns `cols` of a stream interpolated linearly onto n evenly
+    spaced times over its span, as an (n, len(cols)) array; column 0 holds
+    the times, which the caller has checked: at least two, strictly
+    increasing. The endpoints, and input already on the grid, come back
+    exactly: np.interp returns fp[j] at x == xp[j], and linspace ends on
+    t[-1]."""
     t = stream[:, 0]
     grid = np.linspace(t[0], t[-1], n)
-    if t.shape[0] == n and np.array_equal(t, grid):
-        return stream[:, cols]
-    out = np.column_stack([np.interp(grid, t, stream[:, c]) for c in cols])
-    out[0] = stream[0, cols]
-    out[-1] = stream[-1, cols]
-    return out
-
-
-def resample_linear(series, n: int = GRID_STEPS) -> np.ndarray:
-    """Linear interpolation of a (t, value) series onto a uniform n-grid.
-
-    Grid point i sits at t_first + i * (t_last - t_first) / (n - 1); the
-    endpoints reproduce the input exactly, and input already on the grid
-    passes through as a copy.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    arr = np.asarray(series, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"series must be (m, 2) pairs, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise DegenerateSeries(f"series has {arr.shape[0]} points, need >= 2")
-    if not np.all(np.diff(arr[:, 0]) > 0.0):
-        raise ValueError("series times must be strictly increasing")
-    return _grid(arr, [1], n)[:, 0]
+    return np.column_stack([np.interp(grid, t, stream[:, c]) for c in cols])
 
 
 def first_derivative(grid_values, dt: float) -> np.ndarray:

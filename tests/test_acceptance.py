@@ -22,7 +22,9 @@ from haptix.evaluation import (
     ClassifierSpec,
     anova_oneway,
     cross_domain_eval,
+    feature_tensor,
     kfold_split,
+    label_indices,
     run_cv,
     ablate_features,
     ttest_2tailed,
@@ -36,8 +38,8 @@ from haptix.preprocess import (
     detect_contact,
     extract_window,
     fit_norm,
+    _grid,
     prepare_trial,
-    resample_linear,
 )
 from haptix.synthgen import GenConfig, generate
 
@@ -155,13 +157,13 @@ def test_criterion_04_preprocessing_exactness():
         m = int(rng.integers(8, 120))
         t = 0.1 + np.cumsum(rng.uniform(0.005, 0.08, size=m))
         a, b = rng.uniform(-2, 2), rng.uniform(-1, 1)
-        out = resample_linear(np.column_stack([t, a * t + b]), 64)
+        out = _grid(np.column_stack([t, a * t + b]), [1], 64)[:, 0]
         grid = np.linspace(t[0], t[-1], 64)
         aff_err = max(aff_err, np.max(np.abs(out - (a * grid + b))))
 
     t = np.linspace(0.0, 1.26, 64)
     v = rng.normal(size=64)
-    identity = np.array_equal(resample_linear(np.column_stack([t, v]), 64), v)
+    identity = np.array_equal(_grid(np.column_stack([t, v]), [1], 64)[:, 0], v)
 
     ds = generate(GenConfig(trials_per_class=5, noise_std=0.05, seed=21))
     fs = FeatureSet.parse("all")
@@ -201,6 +203,7 @@ def test_criterion_05_synthetic_benchmark():
     ds = generate(GenConfig(trials_per_class=60, noise_std=0.05, seed=7))
     split = kfold_split(ds, 3, seed=7)
     fs = FeatureSet.parse("all")
+    X, y = feature_tensor(ds, fs), label_indices(ds)
     acc = {}
     specs = {
         "svm": ClassifierSpec("svm"),
@@ -209,7 +212,7 @@ def test_criterion_05_synthetic_benchmark():
         "lstm": ClassifierSpec("lstm", {"epochs": 100}),
     }
     for name, spec in specs.items():
-        acc[name] = run_cv(ds, spec, fs, split).mean_accuracy
+        acc[name] = run_cv(X, y, split, spec, fs).mean_accuracy
     elapsed = time.perf_counter() - start
     ok = (acc["tcn"] >= 0.9 and acc["svm"] >= 0.9 and acc["hmm"] >= 0.9
           and acc["lstm"] >= 0.8 and elapsed < 600.0)
@@ -245,8 +248,9 @@ def test_criterion_07_confusion_stays_adjacent():
     for seed in (1, 2, 3):
         ds = generate(GenConfig(trials_per_class=30, noise_std=0.3, seed=seed))
         split = kfold_split(ds, 3, seed=seed)
-        report = run_cv(ds, ClassifierSpec("tcn", {"epochs": 60}),
-                        FeatureSet.parse("all"), split)
+        fs = FeatureSet.parse("all")
+        report = run_cv(feature_tensor(ds, fs), label_indices(ds), split,
+                        ClassifierSpec("tcn", {"epochs": 60}), fs)
         pooled += report.confusion
     dist = np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
     off_one = pooled[dist == 1].sum()
@@ -265,9 +269,11 @@ def test_criterion_08_cross_domain_gap():
                                  domain_shift=1.6, source=Source.ROBOT))
     fs = FeatureSet.parse("force+torque")
     spec = ClassifierSpec("hmm")
-    same = run_cv(train_ds, spec, fs,
-                  kfold_split(train_ds, 3, seed=5)).mean_accuracy
-    cross = cross_domain_eval(train_ds, test_ds, spec, fs,
+    X_train, y_train = feature_tensor(train_ds, fs), label_indices(train_ds)
+    same = run_cv(X_train, y_train, kfold_split(train_ds, 3, seed=5), spec,
+                  fs).mean_accuracy
+    cross = cross_domain_eval(X_train, y_train, feature_tensor(test_ds, fs),
+                              label_indices(test_ds), spec, fs,
                               seed=5).mean_accuracy
     ok = same - cross >= 0.15
     record_acceptance(
@@ -401,10 +407,13 @@ def test_criterion_11_external_dataset():
         pytest.skip("HAPTIX_REAL_DATASET not set")
     ds = load_trials(path)
     split = kfold_split(ds, 3, seed=0)
-    acc_all = run_cv(ds, ClassifierSpec("tcn", {"epochs": 100}),
-                     FeatureSet.parse("all"), split).mean_accuracy
-    acc_fz = run_cv(ds, ClassifierSpec("tcn", {"epochs": 100}),
-                    FeatureSet.parse("fz"), split).mean_accuracy
+    acc = {}
+    for name in ("all", "fz"):
+        fs = FeatureSet.parse(name)
+        acc[name] = run_cv(feature_tensor(ds, fs), label_indices(ds), split,
+                           ClassifierSpec("tcn", {"epochs": 100}),
+                           fs).mean_accuracy
+    acc_all, acc_fz = acc["all"], acc["fz"]
     ok = abs(acc_all - 0.8047) <= 0.10 and abs(acc_fz - 0.7422) <= 0.10
     record_acceptance(
         "11", ok,

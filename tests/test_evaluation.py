@@ -10,6 +10,7 @@ from scipy.special import betainc, gammaln, ndtr
 
 from haptix.core import (CLASS_ORDER, ITEM_CLASSES, ITEM_ORDER, ComplianceClass,
                          Dataset, Trial, class_index, normalize_item_name)
+from haptix import evaluation
 from haptix.errors import DataError, DegenerateGroups, NoContact, TooFewTrials
 from haptix.evaluation import (
     _MSW_FLOOR,
@@ -20,7 +21,9 @@ from haptix.evaluation import (
     ablate_features,
     anova_oneway,
     cross_domain_eval,
+    feature_tensor,
     kfold_split,
+    label_indices,
     report_from_dict,
     report_to_dict,
     run_cv,
@@ -38,7 +41,8 @@ CLASS_LABELS = tuple(c.label for c in CLASS_ORDER)
 
 
 class RecordingTrainer:
-    """Stub trainer: remembers the training inputs per fold seed."""
+    """Stand-in for evaluation._fit_predict: remembers the training inputs
+    per fold seed."""
 
     def __init__(self, prediction=0):
         self.prediction = prediction
@@ -52,14 +56,35 @@ class RecordingTrainer:
         return [self.prediction] * len(X_test)
 
 
+def cv(ds, spec, fs, split, per_item=False):
+    """run_cv on the dataset's feature tensor and labels."""
+    return run_cv(feature_tensor(ds, fs), label_indices(ds, per_item), split,
+                  spec, fs, per_item=per_item)
+
+
+def cross_domain(train_ds, test_ds, spec, fs, seed=0):
+    """cross_domain_eval on the two datasets' feature tensors and labels."""
+    return cross_domain_eval(feature_tensor(train_ds, fs), label_indices(train_ds),
+                             feature_tensor(test_ds, fs), label_indices(test_ds),
+                             spec, fs, seed)
+
+
+@pytest.fixture
+def stub(monkeypatch):
+    """Installs a trainer in place of evaluation._fit_predict."""
+    def install(trainer):
+        monkeypatch.setattr(evaluation, "_fit_predict", trainer)
+        return trainer
+    return install
+
+
 class TestKfoldSplit:
     def test_stratified_folds_balanced(self, small_ds):
         split = kfold_split(small_ds, 3, seed=0)
         counts = {}
-        by_id = {t.id: t.label for t in small_ds.trials}
-        for tid, fold in split.assignments.items():
+        for t, fold in zip(small_ds.trials, split.folds):
             counts.setdefault(fold, {c: 0 for c in CLASS_ORDER})
-            counts[fold][by_id[tid]] += 1
+            counts[fold][t.label] += 1
         for fold in range(3):
             assert all(v == 3 for v in counts[fold].values())
 
@@ -67,8 +92,8 @@ class TestKfoldSplit:
         a = kfold_split(small_ds, 3, seed=5)
         b = kfold_split(small_ds, 3, seed=5)
         c = kfold_split(small_ds, 3, seed=6)
-        assert a.assignments == b.assignments
-        assert a.assignments != c.assignments
+        np.testing.assert_array_equal(a.folds, b.folds)
+        assert not np.array_equal(a.folds, c.folds)
 
     def test_class_smaller_than_k_rejected(self):
         ds = generate(GenConfig(trials_per_class=2, seed=0))
@@ -84,8 +109,7 @@ class TestKfoldSplit:
     def test_group_by_subject_keeps_subjects_together(self, small_ds):
         split = kfold_split(small_ds, 3, seed=1, group_by="subject")
         fold_of_subject = {}
-        for t in small_ds.trials:
-            fold = split.assignments[t.id]
+        for t, fold in zip(small_ds.trials, split.folds):
             assert fold_of_subject.setdefault(t.subject, fold) == fold
         assert not split.stratified
 
@@ -97,11 +121,42 @@ class TestKfoldSplit:
         with pytest.raises(ValueError):
             kfold_split(small_ds, 2, group_by="session")
 
+    @pytest.mark.parametrize("kw", [{}, {"stratified": False},
+                                    {"group_by": "subject"}])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_per_trial_assignment(self, small_ds, kw, seed):
+        """Oracle: the id -> fold dict filled draw by draw, read back in
+        dataset order."""
+        trials = small_ds.trials
+        rng = np.random.default_rng(seed)
+        assignments = {}
+        if "group_by" in kw:
+            subjects = sorted({t.subject for t in trials})
+            order = list(rng.permutation(len(subjects)))
+            fold_of = {subjects[j]: i % 3 for i, j in enumerate(order)}
+            for t in trials:
+                assignments[t.id] = fold_of[t.subject]
+        elif kw.get("stratified", True):
+            for offset, c in enumerate(CLASS_ORDER):
+                members = [t.id for t in trials if t.label is c]
+                for j, idx in enumerate(rng.permutation(len(members))):
+                    assignments[members[idx]] = (j + offset) % 3
+        else:
+            for j, idx in enumerate(rng.permutation(len(trials))):
+                assignments[trials[idx].id] = j % 3
+        split = kfold_split(small_ds, 3, seed=seed, **kw)
+        assert split.folds.tolist() == [assignments[t.id] for t in trials]
+
     def test_split_validation(self):
         with pytest.raises(ValueError):
-            FoldSplit(k=1, assignments={}, seed=0)
+            FoldSplit(k=1, folds=[], seed=0)
         with pytest.raises(ValueError):
-            FoldSplit(k=2, assignments={"a": 5}, seed=0)
+            FoldSplit(k=2, folds=[0, 5], seed=0)
+        with pytest.raises(ValueError):
+            FoldSplit(k=2, folds=[-1, 0], seed=0)
+        folds = FoldSplit(k=2, folds=[0, 1], seed=0).folds
+        with pytest.raises(ValueError):
+            folds[0] = 1  # read-only
 
 
 class TestEvalReport:
@@ -166,47 +221,43 @@ class TestEvalReport:
 
 
 class TestRunCv:
-    def test_constant_predictor_quarters(self, small_ds):
+    def test_constant_predictor_quarters(self, small_ds, stub):
         split = kfold_split(small_ds, 3, seed=0)
-        stub = RecordingTrainer(prediction=0)
-        report = run_cv(small_ds, ClassifierSpec("svm"), FeatureSet.parse("fz"),
-                        split, trainer=stub)
+        stub(RecordingTrainer(prediction=0))
+        report = cv(small_ds, ClassifierSpec("svm"), FeatureSet.parse("fz"), split)
         assert report.per_fold == (0.25, 0.25, 0.25)
         # every prediction lands in the hard-skin column
         np.testing.assert_array_equal(report.confusion[:, 1:], 0)
         assert report.confusion[:, 0].sum() == len(small_ds)
 
-    def test_fold_seeds_derived_from_split(self, small_ds):
+    def test_fold_seeds_derived_from_split(self, small_ds, stub):
         split = kfold_split(small_ds, 3, seed=4)
-        stub = RecordingTrainer()
-        run_cv(small_ds, ClassifierSpec("svm"), FeatureSet.parse("fz"), split,
-               trainer=stub)
+        recorder = stub(RecordingTrainer())
+        cv(small_ds, ClassifierSpec("svm"), FeatureSet.parse("fz"), split)
         expected = {4 * 100003 + fold * 17 + 1 for fold in range(3)}
-        assert set(stub.train_hashes) == expected
+        assert set(recorder.train_hashes) == expected
 
-    def test_test_fold_cannot_leak_into_training(self, small_ds):
+    def test_test_fold_cannot_leak_into_training(self, small_ds, stub):
         split = kfold_split(small_ds, 3, seed=0)
         fs = FeatureSet.parse("fz")
         spec = ClassifierSpec("svm")
 
-        clean = RecordingTrainer()
-        run_cv(small_ds, spec, fs, split, trainer=clean)
+        clean = stub(RecordingTrainer())
+        cv(small_ds, spec, fs, split)
 
         # poison one fold-0 test trial: quintuple its force readings
-        victim_id = next(tid for tid, f in split.assignments.items() if f == 0)
-        trials = []
-        for t in small_ds.trials:
-            if t.id == victim_id:
-                w = t.wrench.copy()
-                w[:, 1:4] *= 5.0
-                t = Trial(id=t.id, subject=t.subject, session=t.session,
-                          food_item=t.food_item, label=t.label, wrench=w,
-                          pose=t.pose, source=t.source)
-            trials.append(t)
+        victim = int(np.flatnonzero(split.folds == 0)[0])
+        trials = list(small_ds.trials)
+        t = trials[victim]
+        w = t.wrench.copy()
+        w[:, 1:4] *= 5.0
+        trials[victim] = Trial(id=t.id, subject=t.subject, session=t.session,
+                               food_item=t.food_item, label=t.label, wrench=w,
+                               pose=t.pose, source=t.source)
         poisoned_ds = Dataset(trials=tuple(trials))
 
-        poisoned = RecordingTrainer()
-        run_cv(poisoned_ds, spec, fs, split, trainer=poisoned)
+        poisoned = stub(RecordingTrainer())
+        cv(poisoned_ds, spec, fs, split)
 
         fold0_seed = 0 * 100003 + 0 * 17 + 1
         # fold 0 holds the victim in its test split, so training inputs
@@ -217,25 +268,28 @@ class TestRunCv:
         assert all(clean.train_hashes[s] != poisoned.train_hashes[s]
                    for s in others)
 
-    def test_trainer_errors_name_the_fold(self, small_ds):
+    def test_trainer_errors_name_the_fold(self, small_ds, stub):
         split = kfold_split(small_ds, 3, seed=0)
 
         def broken(train_fms, y, n_labels, test_fms, seed, params):
             raise NoContact("synthetic failure")
 
+        stub(broken)
         with pytest.raises(NoContact, match=r"fold 0: synthetic failure"):
-            run_cv(small_ds, ClassifierSpec("svm"), FeatureSet.parse("fz"),
-                   split, trainer=broken)
+            cv(small_ds, ClassifierSpec("svm"), FeatureSet.parse("fz"), split)
 
-    def test_wrong_prediction_count_rejected(self, small_ds):
+    def test_wrong_prediction_count_rejected(self, small_ds, stub):
         split = kfold_split(small_ds, 3, seed=0)
 
         def lazy(train_fms, y, n_labels, test_fms, seed, params):
             return [0]
 
+        stub(lazy)
         with pytest.raises(ValueError, match="wrong number"):
-            run_cv(small_ds, ClassifierSpec("svm"), FeatureSet.parse("fz"),
-                   split, trainer=lazy)
+            cv(small_ds, ClassifierSpec("svm"), FeatureSet.parse("fz"), split)
+        with pytest.raises(ValueError, match="wrong number"):
+            cross_domain(small_ds, small_ds, ClassifierSpec("svm"),
+                         FeatureSet.parse("fz"))
 
     def test_unassigned_trial_rejected(self, small_ds):
         split = kfold_split(small_ds, 3, seed=0)
@@ -244,23 +298,23 @@ class TestRunCv:
                       food_item=src.food_item, label=src.label,
                       wrench=src.wrench, pose=src.pose, source=src.source)
         bigger = Dataset(trials=small_ds.trials + (extra,))
-        with pytest.raises(ValueError, match="missing from fold"):
-            run_cv(bigger, ClassifierSpec("svm"), FeatureSet.parse("fz"), split)
+        with pytest.raises(ValueError, match="fold split covers 36 trials"):
+            cv(bigger, ClassifierSpec("svm"), FeatureSet.parse("fz"), split)
 
     def test_svm_end_to_end(self, small_ds):
         split = kfold_split(small_ds, 3, seed=0)
-        report = run_cv(small_ds, ClassifierSpec("svm", {"epochs": 120}),
-                        FeatureSet.parse("fz"), split)
+        report = cv(small_ds, ClassifierSpec("svm", {"epochs": 120}),
+                    FeatureSet.parse("fz"), split)
         assert report.mean_accuracy >= 0.9
         assert report.classifier == "svm"
         assert report.feature_set == "fz"
         assert report.labels == CLASS_LABELS
 
-    def test_per_item_collapses_to_classes(self, small_ds):
+    def test_per_item_collapses_to_classes(self, small_ds, stub):
         split = kfold_split(small_ds, 3, seed=0)
-        stub = RecordingTrainer(prediction=0)  # always "bell pepper"
-        report = run_cv(small_ds, ClassifierSpec("svm"), FeatureSet.parse("fz"),
-                        split, per_item=True, trainer=stub)
+        stub(RecordingTrainer(prediction=0))  # always "bell pepper"
+        report = cv(small_ds, ClassifierSpec("svm"), FeatureSet.parse("fz"),
+                    split, per_item=True)
         assert report.item_confusion is not None
         assert report.item_confusion.shape == (12, 12)
         assert report.item_labels[0] == "bell pepper"
@@ -270,7 +324,7 @@ class TestRunCv:
         assert report.confusion[:, 0].sum() == len(small_ds)
 
     @pytest.mark.parametrize("per_item", [False, True])
-    def test_tallies_match_per_trial_count(self, small_ds, per_item):
+    def test_tallies_match_per_trial_count(self, small_ds, stub, per_item):
         """Confusions and per-fold accuracies equal a per-trial count of the
         same predictions, accuracies bitwise."""
         split = kfold_split(small_ds, 3, seed=5)
@@ -282,14 +336,15 @@ class TestRunCv:
                                 rng.integers(0, len(labels), len(X_test))]
             return preds[fold_seed]
 
-        report = run_cv(small_ds, ClassifierSpec("svm"), FeatureSet.parse("fz"),
-                        split, per_item=per_item, trainer=random_guess)
+        stub(random_guess)
+        report = cv(small_ds, ClassifierSpec("svm"), FeatureSet.parse("fz"),
+                    split, per_item=per_item)
         item_to_class = [class_index(ITEM_CLASSES[i]) for i in ITEM_ORDER]
         confusion = np.zeros((4, 4), dtype=np.int64)
         item_conf = np.zeros((12, 12), dtype=np.int64)
         per_fold = []
         for fold in range(3):
-            test = [t for t in small_ds.trials if split.assignments[t.id] == fold]
+            test = [t for t, f in zip(small_ds.trials, split.folds) if f == fold]
             hits = 0
             for t, p in zip(test, preds[5 * 100003 + fold * 17 + 1]):
                 t_cls, p_cls = class_index(t.label), p
@@ -351,22 +406,21 @@ class TestAblation:
 
 
 class TestCrossDomain:
-    def test_train_and_test_sets_kept_apart(self, small_ds):
+    def test_train_and_test_sets_kept_apart(self, small_ds, stub):
         test_ds = generate(GenConfig(trials_per_class=4, seed=11))
-        stub = RecordingTrainer()
-        report = cross_domain_eval(small_ds, test_ds, ClassifierSpec("svm"),
-                                   FeatureSet.parse("fz"), seed=9,
-                                   trainer=stub)
-        assert stub.sizes[9] == (len(small_ds), len(test_ds))
+        recorder = stub(RecordingTrainer())
+        report = cross_domain(small_ds, test_ds, ClassifierSpec("svm"),
+                              FeatureSet.parse("fz"), seed=9)
+        assert recorder.sizes[9] == (len(small_ds), len(test_ds))
         assert report.k == 1
         assert len(report.per_fold) == 1
         assert report.confusion.sum() == len(test_ds)
 
     def test_same_domain_svm_generalizes(self, small_ds):
         test_ds = generate(GenConfig(trials_per_class=6, seed=101))
-        report = cross_domain_eval(small_ds, test_ds,
-                                   ClassifierSpec("svm", {"epochs": 120}),
-                                   FeatureSet.parse("fz"))
+        report = cross_domain(small_ds, test_ds,
+                              ClassifierSpec("svm", {"epochs": 120}),
+                              FeatureSet.parse("fz"))
         assert report.mean_accuracy >= 0.9
 
 

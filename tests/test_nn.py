@@ -12,14 +12,13 @@ from haptix.nn import (
     LstmModel,
     TcnModel,
     TrainConfig,
+    _batch_ce,
     _pool2,
-    cross_entropy,
     grad_check,
     model_from_dict,
     model_to_dict,
     save_loss_curve,
     save_model,
-    softmax,
     train,
 )
 from haptix.preprocess import FeatureSet, prepare_trial
@@ -36,27 +35,34 @@ def blob_features(rng, n_per_class=10, grid=16, channels=1, levels=(-1.0, 1.0)):
 
 
 class TestSoftmaxCrossEntropy:
+    """_batch_ce, the loss training uses: mean softmax cross-entropy and
+    its logits gradient, p - onehot(y) per row over the batch size."""
+
+    @staticmethod
+    def _probabilities(logits, y):
+        loss, dlogits = _batch_ce(np.array([logits]), np.array([y]))
+        p = dlogits[0].copy()
+        p[y] += 1.0
+        return loss, p
+
     def test_softmax_normalizes(self):
-        p = softmax(np.array([0.1, 0.5, -0.3]))
+        _, p = self._probabilities([0.1, 0.5, -0.3], 0)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(p > 0)
 
     def test_softmax_stable_for_large_logits(self):
-        p = softmax(np.array([1000.0, 0.0]))
+        loss, p = self._probabilities([1000.0, 0.0], 0)
         assert np.all(np.isfinite(p))
         assert p[0] == pytest.approx(1.0)
-
-    def test_softmax_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            softmax(np.array([np.nan, 0.0]))
+        assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_cross_entropy_value(self):
-        p = np.array([0.2, 0.5, 0.3])
-        assert cross_entropy(p, 1) == pytest.approx(-math.log(0.5))
+        loss, _ = self._probabilities(np.log([0.2, 0.5, 0.3]), 1)
+        assert loss == pytest.approx(-math.log(0.5))
 
     def test_cross_entropy_clamps_zero(self):
-        assert cross_entropy(np.array([0.0, 1.0]), 0) == pytest.approx(
-            -math.log(1e-12))
+        loss, _ = self._probabilities([-1e4, 0.0], 0)
+        assert loss == pytest.approx(-math.log(1e-12))
 
 
 class TestTcnStructure:

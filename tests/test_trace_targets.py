@@ -16,7 +16,8 @@ sys.path.insert(0, str(BENCH))
 import layers  # noqa: E402
 from tracing import Shims, Tracer, summarize  # noqa: E402
 
-from haptix import evaluation  # noqa: E402
+from haptix import cli, evaluation  # noqa: E402
+from haptix.core import save_trials  # noqa: E402
 from haptix.preprocess import FeatureSet  # noqa: E402
 from haptix.synthgen import GenConfig, generate  # noqa: E402
 
@@ -52,3 +53,28 @@ def test_feature_tensor_calls_each_traced_stage_once_per_trial():
     assert "truncated" in rows["preprocess.extract_window"]
     assert {"samples", "candidates"} <= set(rows["preprocess.detect_contact"])
     assert set(contacts) == {t.id for t in ds.trials}
+
+
+def _trace_cli(argv):
+    tracer = Tracer()
+    with Shims(tracer, layers.make_targets({}), package="haptix"):
+        assert cli.main(argv) == 0
+    assert tracer.missing == []
+    return summarize(tracer.spans)
+
+
+def test_cli_builds_each_feature_tensor_once(tmp_path):
+    """evaluate prepares each trial once however many models it fits, and
+    cross-domain once per trial of each file."""
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    save_trials(generate(GenConfig(trials_per_class=3, seed=5)), train)
+    save_trials(generate(GenConfig(trials_per_class=2, seed=6)), test)
+    hmm = ["--clf", "hmm", "--max-iter", "3"]
+    rows = _trace_cli(["evaluate", "--data", str(train), *hmm,
+                       "--states-sweep", "2,3", "--out", str(tmp_path / "ev")])
+    assert rows["evaluation.run_cv"]["calls"] == 2
+    assert rows["preprocess.prepare_trial"]["calls"] == 12
+    rows = _trace_cli(["cross-domain", "--train-data", str(train),
+                       "--test-data", str(test), *hmm,
+                       "--out", str(tmp_path / "xd")])
+    assert rows["preprocess.prepare_trial"]["calls"] == 12 + 8
