@@ -56,7 +56,7 @@ from .preprocess import (
     fit_norm,
     prepare_trial,
 )
-from .svm import SvmModel, flatten, predict_svm, train_svm
+from .svm import SvmModel, predict_svm, train_svm
 from .synthgen import GenConfig, generate
 
 __version__ = "0.1.0"

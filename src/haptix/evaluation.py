@@ -253,7 +253,7 @@ def feature_tensor(ds: Dataset, fs: FeatureSet,
                    preproc: PreprocConfig = PreprocConfig(),
                    delay: float = DEFAULT_STREAM_DELAY) -> np.ndarray:
     """(N, G, F) features of every trial, in dataset order, not normalized."""
-    return np.stack([prepare_trial(align_streams(t, delay), fs, None, preproc)
+    return np.stack([prepare_trial(align_streams(t, delay), fs, preproc)
                      for t in ds.trials])
 
 
@@ -355,7 +355,6 @@ def ablate_features(ds: Dataset, spec: ClassifierSpec,
             "feature_set": fs.spec_string(),
             "mean_accuracy": report.mean_accuracy,
             "std_accuracy": report.std_accuracy,
-            "per_fold": list(report.per_fold),
         })
         widths[fs.spec_string()] = len(fs.channel_names)
     # Ties go to the narrower set: equal accuracy from fewer channels says

@@ -61,16 +61,6 @@ class FeatureSet:
         object.__setattr__(self, "channels", ordered)
 
     @classmethod
-    def from_groups(cls, force=False, torque=False, position=False,
-                    rotation=False, derivatives=False) -> "FeatureSet":
-        chans: list[str] = []
-        for flag, group in ((force, "force"), (torque, "torque"),
-                            (position, "position"), (rotation, "rotation")):
-            if flag:
-                chans.extend(CHANNEL_GROUPS[group])
-        return cls(channels=tuple(chans), derivatives=derivatives)
-
-    @classmethod
     def parse(cls, text: str) -> "FeatureSet":
         """Parse a spec like "all", "fz", "force+torque+deriv", "all-fz".
 
@@ -149,7 +139,8 @@ class NormStats:
                 f"features of shape {X.shape} do not match normalization "
                 f"channels {self.channel_names}"
             )
-        out = (X - self.mean) / self.std
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (X - self.mean) / self.std
         _check_finite(out)
         return out
 
@@ -248,7 +239,9 @@ def first_derivative(grid_values, dt: float) -> np.ndarray:
     if v.shape[0] == 2:
         d = (v[1] - v[0]) / dt
         return np.array([d, d])
-    return np.gradient(v, dt, axis=0, edge_order=2)
+    # overflow leaves inf/NaN, which assemble_features reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.gradient(v, dt, axis=0, edge_order=2)
 
 
 def fit_norm(X, channel_names) -> NormStats:
@@ -263,18 +256,20 @@ def fit_norm(X, channel_names) -> NormStats:
             f"features of shape {X.shape} vs {len(names)} channel names"
         )
     rows = X.reshape(-1, len(names))
-    std = np.maximum(rows.std(axis=0), STD_FLOOR)
-    return NormStats(mean=rows.mean(axis=0), std=std, channel_names=names)
+    # overflow leaves inf/NaN statistics; NormStats.apply reports them
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = np.maximum(rows.std(axis=0), STD_FLOOR)
+        mean = rows.mean(axis=0)
+    return NormStats(mean=mean, std=std, channel_names=names)
 
 
 def assemble_features(trial: Trial, fs: FeatureSet,
-                      stats: Optional[NormStats] = None,
                       n: int = GRID_STEPS) -> np.ndarray:
     """Grid each stream's selected channels onto the n-grid and stack them
     into an (n, F) array ordered like fs.channel_names.
 
     Derivative channels (when enabled) are computed on the grid from the
-    resampled values; z-scoring is applied only when stats is given.
+    resampled values.
     """
     raw = []
     derivs = []
@@ -289,8 +284,6 @@ def assemble_features(trial: Trial, fs: FeatureSet,
                 derivs.append(first_derivative(vals, span / (n - 1)))
     values = np.concatenate(raw + derivs, axis=1)
     _check_finite(values)
-    if stats is not None:
-        values = stats.apply(values)
     return values
 
 
@@ -315,9 +308,9 @@ class PreprocConfig:
 
 
 def prepare_trial(trial: Trial, fs: FeatureSet,
-                  stats: Optional[NormStats] = None,
                   cfg: PreprocConfig = PreprocConfig()) -> np.ndarray:
-    """Full chain: contact detection, windowing, gridding, normalization."""
+    """Full chain: contact detection, windowing, gridding; not normalized
+    (see NormStats.apply)."""
     t0 = detect_contact(trial, cfg.threshold, cfg.hold)
     if cfg.duration is None:
         duration = max(trial.wrench[-1, 0], trial.pose[-1, 0]) - t0
@@ -326,4 +319,4 @@ def prepare_trial(trial: Trial, fs: FeatureSet,
     else:
         duration = cfg.duration
     seg = extract_window(trial, t0, duration).trial
-    return assemble_features(seg, fs, stats, cfg.grid)
+    return assemble_features(seg, fs, cfg.grid)

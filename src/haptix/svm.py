@@ -17,21 +17,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .core import CLASS_ORDER, ComplianceClass
 from .errors import DimensionMismatch, SingleClassData
-
-
-def flatten(fm) -> np.ndarray:
-    """Concatenate the channels of a (G, F) feature matrix into one vector:
-    element G*j + i is fm[i][j]."""
-    values = np.asarray(fm, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError(f"expected a 2-D feature matrix, got shape {values.shape}")
-    return values.T.ravel().copy()
 
 
 @dataclass(frozen=True)
@@ -41,7 +31,7 @@ class SvmModel:
     W: np.ndarray                 # (n_classes, D)
     b: np.ndarray                 # (n_classes,)
     C: float
-    classes: tuple = CLASS_ORDER
+    classes: tuple
     channel_names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
@@ -70,36 +60,23 @@ def hinge_objective(w: np.ndarray, b: float, X: np.ndarray, ybin: np.ndarray,
     return float(np.mean(np.maximum(0.0, 1.0 - margins)) + w @ w / (2.0 * C * n))
 
 
-def _infer_classes(y) -> tuple:
-    labels = list(y)
-    if all(isinstance(v, ComplianceClass) for v in labels):
-        present = set(labels)
-        return tuple(c for c in CLASS_ORDER if c in present)
-    return tuple(sorted(set(labels)))
-
-
-def train_svm(X, y, C: float = 1.0, epochs: int = 200, seed: int = 0,
-              classes: Optional[tuple] = None,
-              channel_names: Optional[tuple[str, ...]] = None,
+def train_svm(X, y, classes: tuple, C: float = 1.0, epochs: int = 200,
+              seed: int = 0, channel_names: Optional[tuple[str, ...]] = None,
               return_history: bool = False):
-    """One-vs-rest training. Deterministic given (X, y, C, epochs, seed)."""
+    """One-vs-rest training on the (n, D) rows X; y holds indices into the
+    label names classes. Deterministic given (X, y, C, epochs, seed)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError(f"X must be (n, D) and non-empty, got {X.shape}")
-    y = list(y)
-    if len(y) != X.shape[0]:
+    y = np.asarray(y, dtype=np.int64)
+    if y.shape != X.shape[:1]:
         raise ValueError("X and y lengths differ")
     if C <= 0 or epochs < 1:
         raise ValueError("need C > 0 and epochs >= 1")
-    if classes is None:
-        classes = _infer_classes(y)
-    if len(set(y)) < 2 or len(classes) < 2:
+    if y.min() < 0 or y.max() >= len(classes):
+        raise ValueError(f"label indices must lie in [0, {len(classes)})")
+    if np.all(y == y[0]):  # one label (np.unique would import numpy.ma, 1.7 MB)
         raise SingleClassData("training data must contain at least two classes")
-    index = {c: k for k, c in enumerate(classes)}
-    try:
-        yi = np.array([index[v] for v in y], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"label {exc.args[0]!r} not in classes") from None
 
     n, D = X.shape
     lam = 1.0 / (C * n)
@@ -107,7 +84,7 @@ def train_svm(X, y, C: float = 1.0, epochs: int = 200, seed: int = 0,
     B = np.zeros(len(classes))
     history: dict = {c: [] for c in classes}
     for k, c in enumerate(classes):
-        ybin = np.where(yi == k, 1.0, -1.0)
+        ybin = np.where(y == k, 1.0, -1.0)
         rng = np.random.default_rng([seed, k])
         w = np.zeros(D)
         b = 0.0
@@ -133,10 +110,9 @@ def train_svm(X, y, C: float = 1.0, epochs: int = 200, seed: int = 0,
 
 
 def predict_svm(model: SvmModel, x):
-    """(winning class, per-class scores); first class wins ties."""
+    """(winning class, per-class scores) of one flattened row x (see
+    _flat_rows); first class wins ties."""
     v = np.asarray(x, dtype=np.float64)
-    if v.ndim == 2:
-        v = flatten(v)
     if v.shape != (model.W.shape[1],):
         raise DimensionMismatch(
             f"input dimension {v.shape} does not match model ({model.W.shape[1]},)"
@@ -146,7 +122,8 @@ def predict_svm(model: SvmModel, x):
 
 
 def _flat_rows(X) -> np.ndarray:
-    """(N, G, F) tensor -> (N, F * G) rows laid out like `flatten`."""
+    """(N, G, F) tensor -> (N, F * G) rows: element G*j + i of row n is
+    X[n, i, j]."""
     X = np.asarray(X, dtype=np.float64)
     return X.transpose(0, 2, 1).reshape(X.shape[0], -1)
 
@@ -155,10 +132,9 @@ def fit(X, y, labels, seed, params) -> SvmModel:
     """One-vs-rest training on the (N, G, F) tensor X; y holds indices into
     labels, which become the model's classes. params: C, epochs, and
     channel_names to record in the model."""
-    return train_svm(_flat_rows(X), [labels[i] for i in y],
+    return train_svm(_flat_rows(X), y, labels,
                      C=float(params.get("C", 1.0)),
                      epochs=int(params.get("epochs", 200)), seed=seed,
-                     classes=tuple(labels),
                      channel_names=params.get("channel_names"))
 
 
@@ -169,13 +145,10 @@ def predict(model: SvmModel, X) -> np.ndarray:
 
 
 def model_to_dict(model: SvmModel) -> dict:
-    classes = [
-        c.label if isinstance(c, ComplianceClass) else c for c in model.classes
-    ]
     return {
         "kind": "svm",
         "C": model.C,
-        "classes": classes,
+        "classes": list(model.classes),
         "W": model.W.tolist(),
         "b": model.b.tolist(),
         "channel_names": list(model.channel_names) if model.channel_names else None,
@@ -183,15 +156,10 @@ def model_to_dict(model: SvmModel) -> dict:
 
 
 def model_from_dict(d: dict) -> SvmModel:
-    raw = d["classes"]
-    try:
-        classes = tuple(ComplianceClass.from_label(v) for v in raw)
-    except (ValueError, TypeError):
-        classes = tuple(raw)
     names = d.get("channel_names")
     return SvmModel(W=np.array(d["W"], dtype=np.float64),
                     b=np.array(d["b"], dtype=np.float64),
-                    C=float(d["C"]), classes=classes,
+                    C=float(d["C"]), classes=d["classes"],
                     channel_names=tuple(names) if names else None)
 
 

@@ -168,7 +168,7 @@ def test_criterion_04_preprocessing_exactness():
     ds = generate(GenConfig(trials_per_class=5, noise_std=0.05, seed=21))
     fs = FeatureSet.parse("all")
     cfg = PreprocConfig()
-    raw = np.stack([prepare_trial(align_streams(tr, 0.030), fs, None, cfg)
+    raw = np.stack([prepare_trial(align_streams(tr, 0.030), fs, cfg)
                     for tr in ds.trials])
     stats = fit_norm(raw, fs.channel_names)
     pooled = stats.apply(raw).reshape(-1, len(fs.channel_names))

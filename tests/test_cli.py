@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -285,6 +286,27 @@ class TestEvaluate:
                        "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("features", ["px", "px+deriv"])
+    def test_overflow_reports_one_error_line(self, features, tmp_path):
+        # a finite px of 1.5e306 overflows the norm statistics (and the
+        # derivative stencil); numpy's own warnings must not reach stderr
+        data = tmp_path / "big.jsonl"
+        assert main(["synth", "--per-class", "10", "--seed", "3",
+                     "--out", str(data)]) == 0
+        ds = load_trials(data)
+        pose = ds.trials[0].pose.copy()
+        pose[:, 1] = 1.5e306
+        big = dataclasses.replace(ds.trials[0], pose=pose)
+        save_trials(Dataset((big,) + ds.trials[1:]), data)
+        command, env = _console_command()
+        proc = subprocess.run(
+            command + ["evaluate", "--data", str(data), "--clf", "svm",
+                       "--features", features, "--epochs", "2",
+                       "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: feature matrix contains non-finite values\n"
 
     def test_states_sweep_requires_hmm(self, data_file, tmp_path, capsys):
         rc = main(["evaluate", "--data", str(data_file), "--clf", "svm",

@@ -79,7 +79,7 @@ class TestFeatureSet:
             FeatureSet.parse("deriv")
 
     def test_from_groups(self):
-        fs = FeatureSet.from_groups(force=True, rotation=True, derivatives=True)
+        fs = FeatureSet.parse("force+rotation+deriv")
         assert fs.channels == ("fx", "fy", "fz", "rx", "ry", "rz")
         assert fs.derivatives
 
@@ -523,14 +523,6 @@ class TestPrepareTrial:
         # pose descends linearly the whole trial; the grid must reach the
         # final height rather than stopping at the default 0.82 s window.
         assert fm[-1, 0] == pytest.approx(tr.pose[-1, 2], abs=1e-6)
-
-    def test_stats_applied_when_given(self):
-        tr = ramp_trial(n=180, rate=120.0)
-        fs = FeatureSet.parse("fz")
-        raw = prepare_trial(tr, fs)
-        stats = fit_norm(raw, fs.channel_names)
-        normed = prepare_trial(tr, fs, stats)
-        np.testing.assert_allclose(normed, stats.apply(raw))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

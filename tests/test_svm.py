@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from haptix.core import CLASS_ORDER, ComplianceClass
+from haptix import svm
+from haptix.core import ITEM_ORDER
 from haptix.errors import DimensionMismatch, SingleClassData
+from haptix.evaluation import CLASS_LABELS
 from haptix.svm import (
     SvmModel,
     _flat_rows,
-    flatten,
     hinge_objective,
     model_from_dict,
     model_to_dict,
@@ -20,32 +21,33 @@ from haptix.svm import (
 
 
 def blobs(rng, centers, per_class=20, spread=0.4):
+    """Gaussian blobs; y holds each row's index into the keys of centers."""
     X, y = [], []
-    for label, c in centers.items():
+    for k, c in enumerate(centers.values()):
         X.append(rng.normal(c, spread, size=(per_class, len(c))))
-        y.extend([label] * per_class)
+        y.extend([k] * per_class)
     return np.concatenate(X), y
 
 
 class TestFlatten:
     def test_column_major_layout(self):
-        values = np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
-        vec = flatten(values)
+        values = np.array([[[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]])
+        vec = _flat_rows(values)[0]
         np.testing.assert_array_equal(vec, [1, 2, 3, 4, 5, 6])
-        # element n_steps * j + i is grid step i of channel j
-        n = values.shape[0]
+        # element G*j + i is grid step i of channel j
+        G = values.shape[1]
         for i in range(3):
             for j in range(2):
-                assert vec[n * j + i] == values[i, j]
+                assert vec[G * j + i] == values[0, i, j]
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
-        values = rng.normal(size=(1, 64, 5))
-        np.testing.assert_array_equal(_flat_rows(values)[0], flatten(values[0]))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            flatten(np.zeros(12))
+        values = rng.normal(size=(3, 64, 5))
+        rows = _flat_rows(values)
+        assert rows.shape == (3, 5 * 64)
+        for n in range(3):
+            np.testing.assert_array_equal(rows[n], values[n].T.ravel())
+            np.testing.assert_array_equal(rows[n].reshape(5, 64).T, values[n])
 
 
 class TestHingeObjective:
@@ -72,21 +74,21 @@ class TestHingeObjective:
 class TestTraining:
     def test_separable_two_class(self):
         rng = np.random.default_rng(2)
-        X, y = blobs(rng, {0: (2.0, 2.0), 1: (-2.0, -2.0)})
-        model, hist = train_svm(X, y, C=1.0, epochs=50, seed=0,
+        X, y = blobs(rng, {"a": (2.0, 2.0), "b": (-2.0, -2.0)})
+        model, hist = train_svm(X, y, ("a", "b"), C=1.0, epochs=50, seed=0,
                                 return_history=True)
         preds = [predict_svm(model, x)[0] for x in X]
-        assert preds == y
-        for c in (0, 1):
+        assert preds == [("a", "b")[k] for k in y]
+        for c in ("a", "b"):
             assert hist[c][-1] < hist[c][0]
             assert hist[c][-1] < 0.5
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
         X, y = blobs(rng, {0: (1.5, 0.0), 1: (-1.5, 0.0)}, per_class=10)
-        a = train_svm(X, y, epochs=20, seed=7)
-        b = train_svm(X, y, epochs=20, seed=7)
-        c = train_svm(X, y, epochs=20, seed=8)
+        a = train_svm(X, y, (0, 1), epochs=20, seed=7)
+        b = train_svm(X, y, (0, 1), epochs=20, seed=7)
+        c = train_svm(X, y, (0, 1), epochs=20, seed=8)
         np.testing.assert_array_equal(a.W, b.W)
         np.testing.assert_array_equal(a.b, b.b)
         assert not np.array_equal(a.W, c.W)
@@ -98,7 +100,7 @@ class TestTraining:
         X, y = blobs(rng, {0: (1.0, 0.5), 1: (-1.0, -0.5)}, per_class=15,
                      spread=0.8)
         C = 2.0
-        model = train_svm(X, y, C=C, epochs=400, seed=0)
+        model = train_svm(X, y, (0, 1), C=C, epochs=400, seed=0)
         ybin = np.where(np.array(y) == 0, 1.0, -1.0)
         ours = hinge_objective(model.W[0], float(model.b[0]), X, ybin, C)
 
@@ -113,22 +115,19 @@ class TestTraining:
 
     def test_four_class_compliance_labels(self):
         rng = np.random.default_rng(5)
-        centers = {
-            ComplianceClass.HARD_SKIN: (3.0, 0.0),
-            ComplianceClass.HARD: (0.0, 3.0),
-            ComplianceClass.MEDIUM: (-3.0, 0.0),
-            ComplianceClass.SOFT: (0.0, -3.0),
-        }
+        centers = dict(zip(CLASS_LABELS, [(3.0, 0.0), (0.0, 3.0),
+                                          (-3.0, 0.0), (0.0, -3.0)]))
         X, y = blobs(rng, centers, per_class=15)
-        model = train_svm(X, y, epochs=60, seed=1)
-        assert model.classes == CLASS_ORDER
-        hits = sum(predict_svm(model, x)[0] is lab for x, lab in zip(X, y))
+        model = train_svm(X, y, CLASS_LABELS, epochs=60, seed=1)
+        assert model.classes == CLASS_LABELS
+        hits = sum(predict_svm(model, x)[0] == CLASS_LABELS[k]
+                   for x, k in zip(X, y))
         assert hits / len(y) >= 0.95
 
     def test_explicit_class_order_respected(self):
         rng = np.random.default_rng(6)
-        X, y = blobs(rng, {"a": (2.0, 0.0), "b": (-2.0, 0.0)}, per_class=8)
-        model = train_svm(X, y, epochs=30, classes=("b", "a"))
+        X, y = blobs(rng, {"b": (-2.0, 0.0), "a": (2.0, 0.0)}, per_class=8)
+        model = train_svm(X, y, ("b", "a"), epochs=30)
         assert model.classes == ("b", "a")
         # scores come back aligned with model.classes
         pred, scores = predict_svm(model, np.array([-2.0, 0.0]))
@@ -138,48 +137,52 @@ class TestTraining:
     def test_single_class_rejected(self):
         X = np.zeros((4, 2))
         with pytest.raises(SingleClassData):
-            train_svm(X, ["a", "a", "a", "a"])
+            train_svm(X, [0, 0, 0, 0], ("a", "b"))
 
     def test_parameter_validation(self):
         X = np.eye(2)
-        y = ["a", "b"]
+        y = [0, 1]
         with pytest.raises(ValueError):
-            train_svm(X, y, C=0.0)
+            train_svm(X, y, ("a", "b"), C=0.0)
         with pytest.raises(ValueError):
-            train_svm(X, y, epochs=0)
+            train_svm(X, y, ("a", "b"), epochs=0)
         with pytest.raises(ValueError):
-            train_svm(X, ["a"])
+            train_svm(X, [0], ("a", "b"))
         with pytest.raises(ValueError):
-            train_svm(X, y, classes=("a", "c"))
+            train_svm(X, [0, 2], ("a", "b"))
 
     def test_label_outside_classes_rejected(self):
-        with pytest.raises(ValueError):
-            train_svm(np.eye(3), ["a", "b", "z"], classes=("a", "b"))
+        for y in ([0, 1, 2], [-1, 0, 1]):
+            with pytest.raises(ValueError, match="label indices"):
+                train_svm(np.eye(3), y, ("a", "b"))
 
 
 class TestPredict:
     def test_tie_breaks_to_first_class(self):
-        model = SvmModel(W=np.zeros((4, 2)), b=np.zeros(4), C=1.0)
+        model = SvmModel(W=np.zeros((4, 2)), b=np.zeros(4), C=1.0,
+                         classes=CLASS_LABELS)
         pred, scores = predict_svm(model, np.ones(2))
-        assert pred is ComplianceClass.HARD_SKIN
+        assert pred == "hard-skin"
         assert np.all(scores == 0.0)
 
     def test_positive_score_scaling_keeps_argmax(self):
         rng = np.random.default_rng(8)
         model = SvmModel(W=rng.normal(size=(4, 3)), b=rng.normal(size=4),
-                         C=1.0)
+                         C=1.0, classes=CLASS_LABELS)
         for alpha in (0.01, 1.0, 250.0):
-            scaled = SvmModel(W=alpha * model.W, b=alpha * model.b, C=1.0)
+            scaled = SvmModel(W=alpha * model.W, b=alpha * model.b, C=1.0,
+                              classes=CLASS_LABELS)
             for _ in range(20):
                 x = rng.normal(size=3)
                 assert predict_svm(model, x)[0] is predict_svm(scaled, x)[0]
 
-    def test_accepts_feature_matrix(self):
-        fm = np.ones((4, 2))
+    def test_rejects_feature_matrix(self):
+        # one flattened row only; (N, G, F) tensors go through svm.predict
         model = SvmModel(W=np.eye(2, 8), b=np.zeros(2), C=1.0,
                          classes=("a", "b"))
-        pred, _ = predict_svm(model, fm)
-        assert pred == "a"
+        with pytest.raises(DimensionMismatch):
+            predict_svm(model, np.ones((4, 2)))
+        assert list(svm.predict(model, np.ones((1, 4, 2)))) == [0]
 
     def test_dimension_mismatch(self):
         model = SvmModel(W=np.zeros((2, 3)), b=np.zeros(2), C=1.0,
@@ -190,13 +193,25 @@ class TestPredict:
 
 class TestSerialization:
     def test_compliance_classes_stored_as_labels(self):
-        model = SvmModel(W=np.ones((4, 2)), b=np.zeros(4), C=1.0)
+        model = SvmModel(W=np.ones((4, 2)), b=np.zeros(4), C=1.0,
+                         classes=CLASS_LABELS)
         d = model_to_dict(model)
         assert d["kind"] == "svm"
         assert d["classes"] == ["hard-skin", "hard", "medium", "soft"]
         back = model_from_dict(json.loads(json.dumps(d)))
-        assert back.classes == CLASS_ORDER
+        assert back.classes == CLASS_LABELS
         np.testing.assert_array_equal(back.W, model.W)
+
+    @pytest.mark.parametrize("labels", [CLASS_LABELS, ITEM_ORDER],
+                             ids=["classes", "items"])
+    def test_fitted_classes_round_trip(self, labels):
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(2 * len(labels), 4, 2))
+        y = np.arange(len(X)) % len(labels)
+        m = svm.fit(X, y, labels, 0, {"epochs": 2})
+        back = svm.from_dict(json.loads(json.dumps(svm.to_dict(m))))
+        assert back.classes == m.classes == labels
+        assert all(type(c) is str for c in back.classes)
 
     def test_plain_labels_survive(self):
         model = SvmModel(W=np.ones((2, 2)), b=np.zeros(2), C=0.5,
@@ -209,7 +224,7 @@ class TestSerialization:
     def test_file_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(7)
         model = SvmModel(W=rng.normal(size=(4, 6)), b=rng.normal(size=4),
-                         C=1.5)
+                         C=1.5, classes=CLASS_LABELS)
         p = tmp_path / "svm.json"
         save_model(model, p)
         back = model_from_dict(json.loads(p.read_text()))

@@ -78,3 +78,17 @@ def test_cli_builds_each_feature_tensor_once(tmp_path):
                        "--test-data", str(test), *hmm,
                        "--out", str(tmp_path / "xd")])
     assert rows["preprocess.prepare_trial"]["calls"] == 12 + 8
+
+
+def test_svm_counters(tmp_path):
+    """The train_svm counter reads the call's X, epochs and classes by name:
+    a signature change that breaks it fails here, not in the benchmark."""
+    data = tmp_path / "train.jsonl"
+    ds = generate(GenConfig(trials_per_class=3, seed=5))
+    save_trials(ds, data)
+    rows = _trace_cli(["evaluate", "--data", str(data), "--clf", "svm",
+                       "--k", "3", "--epochs", "5", "--out", str(tmp_path / "ev")])
+    n = len(ds)
+    # every trial trains in k - 1 = 2 folds, 5 epochs, one update per class
+    assert rows["svm.train_svm"]["updates"] == 2 * n * 5 * 4
+    assert rows["svm.predict_svm"]["calls"] == n
