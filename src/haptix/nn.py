@@ -4,6 +4,10 @@ Everything runs in double precision on plain numpy arrays so finite-difference
 gradient checks are meaningful. Models hold their parameters in a flat dict;
 training is mini-batch gradient descent (plain or adaptive-moment) on mean
 cross-entropy.
+
+The LSTM keeps its sequences time-major and runs each step in place in
+reused buffers; its gate sigmoid is numpy's `1 / (1 + exp(-a))`, so this
+module imports nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -247,47 +251,69 @@ class LstmModel:
                 f"input has {x.shape[2]} channels, model expects {self.in_channels}"
             )
 
+    def _layer(self, layer: int, inp: np.ndarray, keep: bool):
+        """Run layer `layer` over the time-major input inp (T, B, din).
+
+        Returns (acts, cs, tcs, hs): the sigmoid of the i, f, o gates and
+        tanh of g in one (T, B, 4H) array, where each step's gates overwrite
+        its input projection; the cell states and their tanh, (T, B, H), or
+        with keep=False only the last step's, (1, B, H); the outputs hs.
+        """
+        T, B, _ = inp.shape
+        H = self.hidden
+        WhT = np.ascontiguousarray(self.params[f"l{layer}_Wh"].T)
+        acts = (inp.reshape(T * B, -1) @ self.params[f"l{layer}_Wx"].T).reshape(T, B, 4 * H)
+        acts += self.params[f"l{layer}_b"]
+        n = T if keep else 1
+        cs = np.empty((n, B, H))
+        tcs = np.empty((n, B, H))
+        hs = np.empty((T, B, H))
+        a = np.empty((B, 4 * H))
+        ig = np.empty((B, H))
+        h = c = np.zeros((B, H))
+        # exp(-a) overflows to inf for a < -709, where the sigmoid is 0
+        with np.errstate(over="ignore"):
+            for t in range(T):
+                k = t if keep else 0
+                z = acts[t]
+                np.matmul(h, WhT, out=a)
+                a += z
+                np.negative(a, out=z)
+                np.exp(z, out=z)
+                z += 1.0
+                np.reciprocal(z, out=z)
+                np.tanh(a[:, 2 * H:3 * H], out=z[:, 2 * H:3 * H])
+                np.multiply(z[:, H:2 * H], c, out=cs[k])
+                c = cs[k]
+                np.multiply(z[:, :H], z[:, 2 * H:3 * H], out=ig)
+                c += ig
+                np.tanh(c, out=tcs[k])
+                h = hs[t]
+                np.multiply(z[:, 3 * H:], tcs[k], out=h)
+        return acts, cs, tcs, hs
+
     def _forward(self, x: np.ndarray, keep: bool = True):
         """Logits plus the caches backprop reads; keep=False keeps none of the
-        per-step gates and cell states, only each layer's output sequence."""
-        from scipy.special import expit  # here, so that `import haptix` loads no scipy
+        per-step gates and cell states, only each layer's output sequence.
+
+        Sequences are stored time-major, (T, B, ·), so each step reads and
+        writes contiguous blocks. A layer's cache is (input, acts, cs, tcs,
+        hs), as `_layer` returns them.
+        """
         self._check(x)
-        B, T, _ = x.shape
-        H = self.hidden
-        inp = x
+        inp = np.ascontiguousarray(x.transpose(1, 0, 2))
         caches = []
         for layer in range(self.layers):
-            Wx = self.params[f"l{layer}_Wx"]
-            Wh = self.params[f"l{layer}_Wh"]
-            b = self.params[f"l{layer}_b"]
-            pre = inp @ Wx.T
-            pre += b
+            acts, cs, tcs, hs = self._layer(layer, inp, keep)
             if keep:
-                gi, gf, gg, go, cs, tcs = (np.empty((B, T, H)) for _ in range(6))
-            hs = np.empty((B, T, H))
-            h = np.zeros((B, H)); c = np.zeros((B, H))
-            for t in range(T):
-                a = pre[:, t] + h @ Wh.T
-                i = expit(a[:, :H]); f = expit(a[:, H:2 * H])
-                g = np.tanh(a[:, 2 * H:3 * H]); o = expit(a[:, 3 * H:])
-                c = f * c + i * g
-                tc = np.tanh(c)
-                h = o * tc
-                hs[:, t] = h
-                if keep:
-                    gi[:, t] = i; gf[:, t] = f; gg[:, t] = g; go[:, t] = o
-                    cs[:, t] = c; tcs[:, t] = tc
-            if keep:
-                caches.append((inp, gi, gf, gg, go, cs, tcs, hs))
-            del pre
+                caches.append((inp, acts, cs, tcs, hs))
+            del acts
             inp = hs
-        if self.per_step:
-            feats = inp                      # (B, T, H)
-        else:
-            feats = inp[:, -1]               # (B, H)
-        relu_in = feats
+        relu_in = inp if self.per_step else inp[-1]  # (T, B, H) or (B, H)
         hrelu = np.maximum(relu_in, 0.0)
         logits = hrelu @ self.params["head_W"].T + self.params["head_b"]
+        if self.per_step:
+            logits = logits.transpose(1, 0, 2)  # (B, T, C)
         return logits, (caches, relu_in, hrelu)
 
     def forward(self, x) -> np.ndarray:
@@ -316,49 +342,61 @@ class LstmModel:
         loss, dlogits = self._head_loss(logits, yb)
         grads = {}
         W_head = self.params["head_W"]
-        if self.per_step:
-            grads["head_W"] = np.einsum("btc,bth->ch", dlogits, hrelu)
+        if self.per_step:  # dlogits is (B, T, C); the caches are time-major
+            dl = dlogits.transpose(1, 0, 2)
+            grads["head_W"] = np.einsum("tbc,tbh->ch", dl, hrelu)
             grads["head_b"] = dlogits.sum(axis=(0, 1))
-            dh_seq_top = (dlogits @ W_head) * (relu_in > 0.0)
+            dh_seq = (dl @ W_head) * (relu_in > 0.0)
         else:
             grads["head_W"] = dlogits.T @ hrelu
             grads["head_b"] = dlogits.sum(axis=0)
-            dh_seq_top = np.zeros((B, T, H))
-            dh_seq_top[:, -1] = (dlogits @ W_head) * (relu_in > 0.0)
+            dh_seq = np.zeros((T, B, H))
+            dh_seq[-1] = (dlogits @ W_head) * (relu_in > 0.0)
 
-        dh_seq = dh_seq_top
+        zero = np.zeros((B, H))
+        dh = np.empty((B, H))
+        tmp = np.empty((B, H))
+        da = np.empty((B, 4 * H))
+        di, df, dg, do = (da[:, j * H:(j + 1) * H] for j in range(4))
+        deriv = np.empty((B, 4 * H))  # z(1-z) for the sigmoid gates, 1-g² for g
+        dtanh = deriv[:, 2 * H:3 * H]
         for layer in range(self.layers - 1, -1, -1):
-            inp, gi, gf, gg, go, cs, tcs, hs = caches[layer]
+            inp, acts, cs, tcs, hs = caches[layer]
             Wx = self.params[f"l{layer}_Wx"]
             Wh = self.params[f"l{layer}_Wh"]
             dWx = np.zeros_like(Wx); dWh = np.zeros_like(Wh)
             db = np.zeros(4 * H)
-            dinp = np.zeros_like(inp) if layer else None  # input's: never read
-            dh_next = np.zeros((B, H)); dc_next = np.zeros((B, H))
+            dinp = np.empty_like(inp) if layer else None  # input's: never read
+            dh_next = np.zeros((B, H))
+            dc = np.zeros((B, H))  # dc_next on entry to a step
             for t in range(T - 1, -1, -1):
-                i = gi[:, t]; f = gf[:, t]; g = gg[:, t]; o = go[:, t]
-                tc = tcs[:, t]
-                c_prev = cs[:, t - 1] if t > 0 else np.zeros((B, H))
-                h_prev = hs[:, t - 1] if t > 0 else np.zeros((B, H))
-                dh = dh_seq[:, t] + dh_next
-                do = dh * tc
-                dc = dc_next + dh * o * (1.0 - tc * tc)
-                di = dc * g
-                dg = dc * i
-                df = dc * c_prev
-                dc_next = dc * f
-                da = np.concatenate([
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ], axis=1)
-                dWx += da.T @ inp[:, t]
+                z = acts[t]
+                i, f, g, o = (z[:, j * H:(j + 1) * H] for j in range(4))
+                tc = tcs[t]
+                c_prev = cs[t - 1] if t else zero
+                h_prev = hs[t - 1] if t else zero
+                np.add(dh_seq[t], dh_next, out=dh)
+                np.multiply(dh, tc, out=do)
+                np.multiply(tc, tc, out=tmp)
+                np.subtract(1.0, tmp, out=tmp)
+                dh *= o
+                dh *= tmp
+                dc += dh
+                np.multiply(dc, g, out=di)
+                np.multiply(dc, c_prev, out=df)
+                np.multiply(dc, i, out=dg)
+                dc *= f  # dc_next
+                np.subtract(1.0, z, out=deriv)
+                deriv *= z
+                np.multiply(g, g, out=dtanh)
+                np.subtract(1.0, dtanh, out=dtanh)
+                da *= deriv
+                dWx += da.T @ inp[t]
                 dWh += da.T @ h_prev
                 db += da.sum(axis=0)
                 if layer:
-                    dinp[:, t] = da @ Wx
-                dh_next = da @ Wh
+                    np.matmul(da, Wx, out=dinp[t])
+                np.matmul(da, Wh, out=dh_next)
             grads[f"l{layer}_Wx"] = dWx
             grads[f"l{layer}_Wh"] = dWh
             grads[f"l{layer}_b"] = db

@@ -1,5 +1,6 @@
 """`import haptix` stays cheap: scipy.special (about 0.3 s of imports) and the
-Gauss-Legendre tables of the studentized range load on first use.
+Gauss-Legendre tables of the studentized range load on first use, which only
+the statistics make. Training and running a network loads neither.
 
 Each check runs in a fresh interpreter, since this test process has long
 imported both.
@@ -36,12 +37,15 @@ def test_import_cli_loads_neither():
     assert loaded_after("import haptix.cli") == {m: False for m in LAZY}
 
 
-def test_lstm_predict_loads_scipy_special():
+def test_lstm_fit_and_predict_load_neither():
     loaded = loaded_after(
         "import numpy as np\n"
-        "from haptix.nn import LstmModel\n"
-        "LstmModel(in_channels=2, hidden=4, layers=1).predict(np.zeros((1, 3, 2)))")
-    assert loaded["scipy.special"]
+        "from haptix import nn\n"
+        "X = np.random.default_rng(0).standard_normal((6, 5, 2))\n"
+        "model = nn.fit(X, np.arange(6) % 2, ('a', 'b'), 0,\n"
+        "               {'kind': 'lstm', 'hidden': 4, 'layers': 2, 'epochs': 2})\n"
+        "nn.predict(model, X)")
+    assert loaded == {m: False for m in LAZY}
 
 
 def test_studentized_range_loads_both():

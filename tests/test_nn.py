@@ -248,7 +248,7 @@ class TestLstmForward:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((1, 20, 1))
         _, (caches, *_r) = m._forward(x)
-        final_cell = caches[0][5][:, -1]
+        final_cell = caches[0][2][-1]  # cs, time-major: (T, B, H)
         assert np.all(np.abs(final_cell) < 0.01)
 
     def test_per_step_head_averages_steps(self):

@@ -10,13 +10,23 @@ weight gradient as one matrix product. `oracle_tcn_loss_and_grads` is the
 argmax / take_along_axis / put_along_axis / einsum version it replaced: the
 logits and the loss must be bitwise equal, the gradients equal up to the
 summation order.
+
+`LstmModel` stores its sequences time-major, computes the sigmoid as
+`1 / (1 + exp(-a))` in place over each step's gate row and runs its backward
+in reused buffers. `oracle_lstm_loss_and_grads` is the batch-major version
+with `scipy.special.expit` and a per-step `np.concatenate` it replaced. The
+two sigmoids differ in the last bit for some inputs, so the logits must agree
+to 1e-12 of the batch's largest logit, the loss to a relative 1e-12 and the
+gradients up to rounding (`LSTM_GRAD_RTOL`).
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from haptix.nn import LstmModel, TcnModel, _batch_ce
 
@@ -84,6 +94,89 @@ def oracle_tcn_loss_and_grads(model, x, y):
     return logits, loss, grads
 
 
+def oracle_lstm_loss_and_grads(model, x, y):
+    """(logits, loss, grads) of an LstmModel: batch-major caches, expit gates
+    and one np.concatenate of the four gate gradients per step."""
+    B, T, _ = x.shape
+    H = model.hidden
+    inp = x
+    caches = []
+    for layer in range(model.layers):
+        Wx = model.params[f"l{layer}_Wx"]
+        Wh = model.params[f"l{layer}_Wh"]
+        b = model.params[f"l{layer}_b"]
+        pre = inp @ Wx.T
+        pre += b
+        gi, gf, gg, go, cs, tcs = (np.empty((B, T, H)) for _ in range(6))
+        hs = np.empty((B, T, H))
+        h = np.zeros((B, H)); c = np.zeros((B, H))
+        for t in range(T):
+            a = pre[:, t] + h @ Wh.T
+            i = expit(a[:, :H]); f = expit(a[:, H:2 * H])
+            g = np.tanh(a[:, 2 * H:3 * H]); o = expit(a[:, 3 * H:])
+            c = f * c + i * g
+            tc = np.tanh(c)
+            h = o * tc
+            hs[:, t] = h
+            gi[:, t] = i; gf[:, t] = f; gg[:, t] = g; go[:, t] = o
+            cs[:, t] = c; tcs[:, t] = tc
+        caches.append((inp, gi, gf, gg, go, cs, tcs, hs))
+        inp = hs
+    relu_in = inp if model.per_step else inp[:, -1]
+    hrelu = np.maximum(relu_in, 0.0)
+    logits = hrelu @ model.params["head_W"].T + model.params["head_b"]
+    W_head = model.params["head_W"]
+    if model.per_step:
+        C = logits.shape[2]
+        loss, dflat = _batch_ce(logits.reshape(B * T, C), np.repeat(y, T))
+        dlogits = dflat.reshape(B, T, C)
+        grads = {"head_W": np.einsum("btc,bth->ch", dlogits, hrelu),
+                 "head_b": dlogits.sum(axis=(0, 1))}
+        dh_seq = (dlogits @ W_head) * (relu_in > 0.0)
+    else:
+        loss, dlogits = _batch_ce(logits, y)
+        grads = {"head_W": dlogits.T @ hrelu, "head_b": dlogits.sum(axis=0)}
+        dh_seq = np.zeros((B, T, H))
+        dh_seq[:, -1] = (dlogits @ W_head) * (relu_in > 0.0)
+    for layer in range(model.layers - 1, -1, -1):
+        inp, gi, gf, gg, go, cs, tcs, hs = caches[layer]
+        Wx = model.params[f"l{layer}_Wx"]
+        Wh = model.params[f"l{layer}_Wh"]
+        dWx = np.zeros_like(Wx); dWh = np.zeros_like(Wh)
+        db = np.zeros(4 * H)
+        dinp = np.zeros_like(inp) if layer else None
+        dh_next = np.zeros((B, H)); dc_next = np.zeros((B, H))
+        for t in range(T - 1, -1, -1):
+            i = gi[:, t]; f = gf[:, t]; g = gg[:, t]; o = go[:, t]
+            tc = tcs[:, t]
+            c_prev = cs[:, t - 1] if t > 0 else np.zeros((B, H))
+            h_prev = hs[:, t - 1] if t > 0 else np.zeros((B, H))
+            dh = dh_seq[:, t] + dh_next
+            do = dh * tc
+            dc = dc_next + dh * o * (1.0 - tc * tc)
+            di = dc * g
+            dg = dc * i
+            df = dc * c_prev
+            dc_next = dc * f
+            da = np.concatenate([
+                di * i * (1.0 - i),
+                df * f * (1.0 - f),
+                dg * (1.0 - g * g),
+                do * o * (1.0 - o),
+            ], axis=1)
+            dWx += da.T @ inp[:, t]
+            dWh += da.T @ h_prev
+            db += da.sum(axis=0)
+            if layer:
+                dinp[:, t] = da @ Wx
+            dh_next = da @ Wh
+        grads[f"l{layer}_Wx"] = dWx
+        grads[f"l{layer}_Wh"] = dWh
+        grads[f"l{layer}_b"] = db
+        dh_seq = dinp
+    return logits, loss, grads
+
+
 def pooling_ties(model, x):
     """Count of pooled pairs, over all layers, whose two elements are equal
     and positive; ReLU zeros tie far more often and are not counted."""
@@ -146,6 +239,46 @@ def test_tcn_inference_matches_training_forward(depth, kernel, channels, steps, 
     x = rng.standard_normal((B, grid, F)) * 2.0
     assert_matches_oracle(model, x, rng.integers(0, 4, B), rng)
 
+
+# Largest gradient error seen against the oracle, as a share of the
+# gradient's largest entry: 4.0e-12 over 3,000 random configurations of
+# test_lstm_grads_match_oracle's ranges (one-bit sigmoid differences grown
+# by the recurrence). The bound leaves a 25x margin.
+LSTM_GRAD_RTOL = 1e-10
+
+
+def assert_lstm_grads_match_oracle(model, x, y):
+    logits, loss, expected = oracle_lstm_loss_and_grads(model, x, y)
+    got_loss, grads = model.loss_and_grads(x, y)
+    got_logits = model._forward(x)[0]
+    assert np.abs(got_logits - logits).max() <= 1e-12 * np.abs(logits).max()
+    assert got_loss == pytest.approx(loss, rel=1e-12, abs=0.0)
+    assert sorted(grads) == sorted(expected)
+    for name, want in expected.items():
+        scale = np.abs(want).max()
+        err = np.abs(grads[name] - want).max()
+        assert err <= LSTM_GRAD_RTOL * scale, (name, err, scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layers=st.integers(1, 3), hidden=st.integers(1, 50),
+       per_step=st.booleans(), B=st.integers(1, 32), T=st.integers(1, 64),
+       F=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_lstm_grads_match_oracle(layers, hidden, per_step, B, T, F, seed):
+    rng = np.random.default_rng(seed)
+    model = LstmModel(F, hidden=hidden, layers=layers, per_step=per_step, seed=seed)
+    for value in model.params.values():  # biases start at constants
+        value += rng.standard_normal(value.shape) * 0.5
+    x = rng.standard_normal((B, T, F)) * 2.0
+    assert_lstm_grads_match_oracle(model, x, rng.integers(0, 4, B))
+
+
+def test_lstm_grads_match_oracle_at_training_size():
+    """The default architecture at B=32, T=64, F=12."""
+    rng = np.random.default_rng(3)
+    model = LstmModel(12, seed=3)
+    x = rng.standard_normal((32, 64, 12))
+    assert_lstm_grads_match_oracle(model, x, rng.integers(0, 4, 32))
 
 def tcn_input(rng, model, B, hold, dup, mute):
     """Random input held constant over runs of `hold` steps, with a share
