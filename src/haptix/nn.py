@@ -8,6 +8,12 @@ cross-entropy.
 The LSTM keeps its sequences time-major and runs each step in place in
 reused buffers; its gate sigmoid is numpy's `1 / (1 + exp(-a))`, so this
 module imports nothing beyond numpy.
+
+`predict` runs the inference forward on slices of at most
+`TrainConfig.batch_size` trials and concatenates their logits, so its memory
+is set by the model, not by the number of trials. The logits can differ from
+a single pass's in the last bits, since OpenBLAS picks its kernel by row
+count. `forward`, `loss` and `loss_and_grads` run their batch in one pass.
 """
 
 from __future__ import annotations
@@ -68,6 +74,15 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+
+
+def _sliced_logits(model, x: np.ndarray) -> np.ndarray:
+    """`model._forward(x, keep=False)`'s logits, computed on consecutive
+    slices of at most `TrainConfig.batch_size` trials; an empty x is one
+    empty slice."""
+    rows = TrainConfig.batch_size
+    return np.concatenate([model._forward(x[i:i + rows], keep=False)[0]
+                           for i in range(0, max(len(x), 1), rows)])
 
 
 def _pool2(r: np.ndarray):
@@ -202,8 +217,7 @@ class TcnModel:
         return loss, grads
 
     def predict(self, x) -> np.ndarray:
-        logits, _ = self._forward(_as_batch(x), keep=False)
-        return logits.argmax(axis=1)
+        return _sliced_logits(self, _as_batch(x)).argmax(axis=1)
 
     def arch(self) -> dict:
         return {
@@ -342,6 +356,9 @@ class LstmModel:
         loss, dlogits = self._head_loss(logits, yb)
         grads = {}
         W_head = self.params["head_W"]
+        # dh_seq: the gradient a layer's output sequence receives from above;
+        # None when the head reads only the top layer's last step, whose
+        # gradient dh_last then enters the recurrence at t = T - 1
         if self.per_step:  # dlogits is (B, T, C); the caches are time-major
             dl = dlogits.transpose(1, 0, 2)
             grads["head_W"] = np.einsum("tbc,tbh->ch", dl, hrelu)
@@ -350,8 +367,8 @@ class LstmModel:
         else:
             grads["head_W"] = dlogits.T @ hrelu
             grads["head_b"] = dlogits.sum(axis=0)
-            dh_seq = np.zeros((T, B, H))
-            dh_seq[-1] = (dlogits @ W_head) * (relu_in > 0.0)
+            dh_seq = None
+            dh_last = (dlogits @ W_head) * (relu_in > 0.0)
 
         zero = np.zeros((B, H))
         dh = np.empty((B, H))
@@ -367,7 +384,7 @@ class LstmModel:
             dWx = np.zeros_like(Wx); dWh = np.zeros_like(Wh)
             db = np.zeros(4 * H)
             dinp = np.empty_like(inp) if layer else None  # input's: never read
-            dh_next = np.zeros((B, H))
+            dh_next = np.zeros((B, H)) if dh_seq is not None else dh_last
             dc = np.zeros((B, H))  # dc_next on entry to a step
             for t in range(T - 1, -1, -1):
                 z = acts[t]
@@ -375,7 +392,10 @@ class LstmModel:
                 tc = tcs[t]
                 c_prev = cs[t - 1] if t else zero
                 h_prev = hs[t - 1] if t else zero
-                np.add(dh_seq[t], dh_next, out=dh)
+                if dh_seq is None:
+                    np.copyto(dh, dh_next)
+                else:
+                    np.add(dh_seq[t], dh_next, out=dh)
                 np.multiply(dh, tc, out=do)
                 np.multiply(tc, tc, out=tmp)
                 np.subtract(1.0, tmp, out=tmp)
@@ -404,7 +424,7 @@ class LstmModel:
         return loss, grads
 
     def predict(self, x) -> np.ndarray:
-        logits, _ = self._forward(_as_batch(x), keep=False)
+        logits = _sliced_logits(self, _as_batch(x))
         if self.per_step:
             logits = logits.mean(axis=1)
         return logits.argmax(axis=1)

@@ -18,17 +18,22 @@ with `scipy.special.expit` and a per-step `np.concatenate` it replaced. The
 two sigmoids differ in the last bit for some inputs, so the logits must agree
 to 1e-12 of the batch's largest logit, the loss to a relative 1e-12 and the
 gradients up to rounding (`LSTM_GRAD_RTOL`).
+
+`predict` runs the inference forward on slices of `TrainConfig.batch_size`
+trials. Single-shot inference is the oracle: the logits must be bitwise equal
+while the batch fits one slice, and agree to 1e-12 of the largest logit
+beyond it, where OpenBLAS may pick another kernel for another row count.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from haptix.nn import LstmModel, TcnModel, _batch_ce
+from haptix.nn import LstmModel, TcnModel, TrainConfig, _batch_ce, _sliced_logits
 
 
 def oracle_forward(model, x):
@@ -327,13 +332,35 @@ def test_tcn_grads_match_oracle_at_training_size():
     assert_tcn_grads_match_oracle(model, x, rng.integers(0, 4, 32))
 
 
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["lstm", "tcn"]), N=st.integers(1, 200),
+       seed=st.integers(0, 2**16))
+@example(kind="lstm", N=33, seed=0)
+@example(kind="tcn", N=65, seed=0)
+def test_sliced_predict_matches_single_shot(kind, N, seed):
+    rng = np.random.default_rng(seed)
+    model = LstmModel(12, seed=seed) if kind == "lstm" else TcnModel(12, seed=seed)
+    for value in model.params.values():  # biases start at constants
+        value += rng.standard_normal(value.shape) * 0.5
+    x = rng.standard_normal((N, 64, 12)) * 2.0
+    whole = model._forward(x, keep=False)[0]
+    sliced = _sliced_logits(model, x)
+    if N <= TrainConfig.batch_size:
+        assert np.array_equal(sliced, whole)
+    tol = 1e-12 * np.abs(whole).max()
+    assert np.abs(sliced - whole).max() <= tol
+    second, first = np.sort(whole, axis=1)[:, -2:].T
+    clear = first - second > tol
+    assert np.array_equal(model.predict(x)[clear], whole.argmax(axis=1)[clear])
+
+
 class TestInferenceMemory:
     """predict on the cross-domain test-set size keeps no backprop state."""
 
     N, G, F = 400, 64, 12
 
-    def _peak_bytes(self, model):
-        x = np.random.default_rng(0).standard_normal((self.N, self.G, self.F))
+    def _peak_bytes(self, model, n=N):
+        x = np.random.default_rng(0).standard_normal((n, self.G, self.F))
         tracemalloc.start()
         try:
             model.predict(x)
@@ -348,3 +375,11 @@ class TestInferenceMemory:
 
     def test_tcn_predict_peak(self):
         assert self._peak_bytes(TcnModel(self.F)) < 48e6
+
+    @pytest.mark.parametrize("make", [LstmModel, TcnModel], ids=["lstm", "tcn"])
+    def test_predict_peak_does_not_grow_with_n(self, make):
+        """predict works in slices of one training batch, so 400 trials
+        peak within a quarter (plus 1 MB) of one batch's peak."""
+        model = make(self.F)
+        one_slice = self._peak_bytes(model, TrainConfig.batch_size)
+        assert self._peak_bytes(model) <= 1.25 * one_slice + 1e6

@@ -92,3 +92,16 @@ def test_svm_counters(tmp_path):
     # every trial trains in k - 1 = 2 folds, 5 epochs, one update per class
     assert rows["svm.train_svm"]["updates"] == 2 * n * 5 * 4
     assert rows["svm.predict_svm"]["calls"] == n
+
+
+@pytest.mark.parametrize("clf", ["lstm", "tcn"])
+def test_cross_domain_predicts_in_one_traced_call(tmp_path, clf):
+    """predict slices a 40-trial test set inside its traced span, so the
+    nn.predict.<kind> span still times the whole prediction."""
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    save_trials(generate(GenConfig(trials_per_class=3, seed=5)), train)
+    save_trials(generate(GenConfig(trials_per_class=10, seed=6)), test)
+    rows = _trace_cli(["cross-domain", "--train-data", str(train),
+                       "--test-data", str(test), "--clf", clf, "--epochs", "1",
+                       "--out", str(tmp_path / "xd")])
+    assert rows[f"nn.predict.{clf}"]["calls"] == 1
