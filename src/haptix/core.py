@@ -55,13 +55,6 @@ class ComplianceClass(enum.IntEnum):
     def label(self) -> str:
         return _CLASS_LABELS[self]
 
-    @classmethod
-    def from_label(cls, label: str) -> "ComplianceClass":
-        try:
-            return _CLASS_BY_LABEL[label.strip().lower()]
-        except KeyError:
-            raise ValueError(f"unknown compliance class {label!r}") from None
-
 
 _CLASS_LABELS = {
     ComplianceClass.HARD_SKIN: "hard-skin",
@@ -69,7 +62,6 @@ _CLASS_LABELS = {
     ComplianceClass.MEDIUM: "medium",
     ComplianceClass.SOFT: "soft",
 }
-_CLASS_BY_LABEL = {v: k for k, v in _CLASS_LABELS.items()}
 
 # Canonical reporting / tie-break order.
 CLASS_ORDER = (

@@ -9,11 +9,12 @@ The LSTM keeps its sequences time-major and runs each step in place in
 reused buffers; its gate sigmoid is numpy's `1 / (1 + exp(-a))`, so this
 module imports nothing beyond numpy.
 
-`predict` runs the inference forward on slices of at most
-`TrainConfig.batch_size` trials and concatenates their logits, so its memory
-is set by the model, not by the number of trials. The logits can differ from
-a single pass's in the last bits, since OpenBLAS picks its kernel by row
-count. `forward`, `loss` and `loss_and_grads` run their batch in one pass.
+`forward` is the one inference path: it runs the forward on slices of at
+most `TrainConfig.batch_size` trials and concatenates their logits, so its
+memory is set by the model, not by the number of trials, and `predict` is its
+argmax. The logits can differ from a single pass's in the last bits, since
+OpenBLAS picks its kernel by row count. `loss` and `loss_and_grads` run their
+batch in one pass.
 """
 
 from __future__ import annotations
@@ -76,13 +77,19 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
-def _sliced_logits(model, x: np.ndarray) -> np.ndarray:
-    """`model._forward(x, keep=False)`'s logits, computed on consecutive
-    slices of at most `TrainConfig.batch_size` trials; an empty x is one
-    empty slice."""
+def _sliced_logits(model, x) -> np.ndarray:
+    """Logits for a (T, F) matrix or (B, T, F) batch: `model._forward(x,
+    keep=False)`'s, computed on consecutive slices of at most
+    `TrainConfig.batch_size` trials (an empty batch is one empty slice), with
+    per-step (B, T, C) logits averaged over the steps."""
+    xb = _as_batch(x)
     rows = TrainConfig.batch_size
-    return np.concatenate([model._forward(x[i:i + rows], keep=False)[0]
-                           for i in range(0, max(len(x), 1), rows)])
+    parts = []
+    for i in range(0, max(len(xb), 1), rows):
+        logits = model._forward(xb[i:i + rows], keep=False)[0]
+        parts.append(logits.mean(axis=1) if logits.ndim == 3 else logits)
+    logits = np.concatenate(parts)
+    return logits[0] if np.ndim(x) == 2 else logits
 
 
 def _pool2(r: np.ndarray):
@@ -177,10 +184,7 @@ class TcnModel:
         logits = h @ self.params["head_W"].T + self.params["head_b"]
         return logits, (caches, flat, h, out.shape)
 
-    def forward(self, x) -> np.ndarray:
-        """Logits for a (T, F) matrix or (B, T, F) batch."""
-        logits, _ = self._forward(_as_batch(x), keep=False)
-        return logits[0] if np.ndim(x) == 2 else logits
+    forward = _sliced_logits
 
     def loss(self, x, y) -> float:
         logits, _ = self._forward(_as_batch(x), keep=False)
@@ -217,7 +221,7 @@ class TcnModel:
         return loss, grads
 
     def predict(self, x) -> np.ndarray:
-        return _sliced_logits(self, _as_batch(x)).argmax(axis=1)
+        return self.forward(_as_batch(x)).argmax(axis=1)
 
     def arch(self) -> dict:
         return {
@@ -330,11 +334,7 @@ class LstmModel:
             logits = logits.transpose(1, 0, 2)  # (B, T, C)
         return logits, (caches, relu_in, hrelu)
 
-    def forward(self, x) -> np.ndarray:
-        logits, _ = self._forward(_as_batch(x), keep=False)
-        if self.per_step:
-            logits = logits.mean(axis=1)
-        return logits[0] if np.ndim(x) == 2 else logits
+    forward = _sliced_logits
 
     def _head_loss(self, logits, y):
         if not self.per_step:
@@ -424,10 +424,7 @@ class LstmModel:
         return loss, grads
 
     def predict(self, x) -> np.ndarray:
-        logits = _sliced_logits(self, _as_batch(x))
-        if self.per_step:
-            logits = logits.mean(axis=1)
-        return logits.argmax(axis=1)
+        return self.forward(_as_batch(x)).argmax(axis=1)
 
     def arch(self) -> dict:
         return {
@@ -556,13 +553,13 @@ def grad_check(model, sample, eps: float = 1e-5, n_coords: int = 200,
     return worst
 
 
-def model_to_dict(model) -> dict:
+def to_dict(model) -> dict:
     d = model.arch()
     d["params"] = {k: v.tolist() for k, v in model.params.items()}
     return d
 
 
-def model_from_dict(d: dict):
+def from_dict(d: dict):
     kind = d["kind"]
     if kind == "tcn":
         model = TcnModel(in_channels=d["in_channels"], n_classes=d["n_classes"],
@@ -582,11 +579,8 @@ def model_from_dict(d: dict):
     return model
 
 
-to_dict, from_dict = model_to_dict, model_from_dict
-
-
 def save_model(model, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model)) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(to_dict(model)) + "\n", encoding="utf-8")
 
 
 def save_loss_curve(curve: Sequence[float], path) -> None:

@@ -10,6 +10,10 @@ the end of the last epoch (no averaging). The step counter is warm-started
 at t = n: a cold start makes the first step size C*n, which slams the
 unregularized bias to a huge value that later steps cannot undo once the
 training margins are met.
+
+`train_svm` and `predict_svm` work on (N, D) rows; `fit` and `predict` flatten
+an (N, G, F) tensor into such rows first (`_flat_rows`). Prediction is one
+product X @ W.T + b and each row's argmax.
 """
 
 from __future__ import annotations
@@ -109,16 +113,14 @@ def train_svm(X, y, classes: tuple, C: float = 1.0, epochs: int = 200,
     return model
 
 
-def predict_svm(model: SvmModel, x):
-    """(winning class, per-class scores) of one flattened row x (see
-    _flat_rows); first class wins ties."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.shape != (model.W.shape[1],):
-        raise DimensionMismatch(
-            f"input dimension {v.shape} does not match model ({model.W.shape[1]},)"
-        )
-    scores = model.W @ v + model.b
-    return model.classes[int(np.argmax(scores))], scores
+def predict_svm(model: SvmModel, X) -> np.ndarray:
+    """Index of the winning class of each of the (N, D) rows X (see
+    _flat_rows), from one product X @ W.T + b; first class wins ties."""
+    X = np.asarray(X, dtype=np.float64)
+    D = model.W.shape[1]
+    if X.ndim != 2 or X.shape[1] != D:
+        raise DimensionMismatch(f"input shape {X.shape} does not match model (N, {D})")
+    return (X @ model.W.T + model.b).argmax(axis=1)
 
 
 def _flat_rows(X) -> np.ndarray:
@@ -140,11 +142,10 @@ def fit(X, y, labels, seed, params) -> SvmModel:
 
 def predict(model: SvmModel, X) -> np.ndarray:
     """Index of the winning class per trial of the (N, G, F) tensor X."""
-    return np.array([int(np.argmax(predict_svm(model, v)[1])) for v in _flat_rows(X)],
-                    dtype=np.int64)
+    return predict_svm(model, _flat_rows(X))
 
 
-def model_to_dict(model: SvmModel) -> dict:
+def to_dict(model: SvmModel) -> dict:
     return {
         "kind": "svm",
         "C": model.C,
@@ -155,7 +156,7 @@ def model_to_dict(model: SvmModel) -> dict:
     }
 
 
-def model_from_dict(d: dict) -> SvmModel:
+def from_dict(d: dict) -> SvmModel:
     names = d.get("channel_names")
     return SvmModel(W=np.array(d["W"], dtype=np.float64),
                     b=np.array(d["b"], dtype=np.float64),
@@ -163,8 +164,5 @@ def model_from_dict(d: dict) -> SvmModel:
                     channel_names=tuple(names) if names else None)
 
 
-to_dict, from_dict = model_to_dict, model_from_dict
-
-
 def save_model(model: SvmModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model)) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(to_dict(model)) + "\n", encoding="utf-8")

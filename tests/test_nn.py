@@ -14,11 +14,11 @@ from haptix.nn import (
     TrainConfig,
     _batch_ce,
     _pool2,
+    from_dict,
     grad_check,
-    model_from_dict,
-    model_to_dict,
     save_loss_curve,
     save_model,
+    to_dict,
     train,
 )
 from haptix.preprocess import FeatureSet, prepare_trial
@@ -387,14 +387,14 @@ class TestSerialization:
     def test_tcn_round_trip_exact(self):
         m = TcnModel(in_channels=2, n_classes=3, channels=4, depth=2,
                      kernel=3, grid=16, seed=7)
-        back = model_from_dict(model_to_dict(m))
+        back = from_dict(to_dict(m))
         assert back.arch() == m.arch()
         for k, v in m.params.items():
             np.testing.assert_array_equal(back.params[k], v)
 
     def test_lstm_round_trip_preserves_per_step(self):
         m = LstmModel(in_channels=2, hidden=4, layers=2, seed=8, per_step=True)
-        back = model_from_dict(model_to_dict(m))
+        back = from_dict(to_dict(m))
         assert back.per_step
         for k, v in m.params.items():
             np.testing.assert_array_equal(back.params[k], v)
@@ -406,7 +406,7 @@ class TestSerialization:
         x = rng.standard_normal((5, 16, 1))
         p = tmp_path / "tcn.json"
         save_model(m, p)
-        back = model_from_dict(json.loads(p.read_text()))
+        back = from_dict(json.loads(p.read_text()))
         np.testing.assert_array_equal(back.predict(x), m.predict(x))
 
     def test_loss_curve_file(self, tmp_path):

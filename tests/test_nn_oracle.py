@@ -2,8 +2,9 @@
 
 `_forward(x, keep=False)` runs the same arithmetic as `_forward(x)` but keeps
 none of the caches backprop reads. The training forward is the oracle: logits
-must be bitwise equal, and `predict`, `forward` and `loss` must equal what
-they computed from it before they stopped keeping caches.
+must be bitwise equal, and `forward`, `predict` and `loss` must equal what
+they computed from it before they stopped keeping caches, `forward` and
+`predict` slice by slice.
 
 `TcnModel.loss_and_grads` pools by compare-and-select and computes each
 weight gradient as one matrix product. `oracle_tcn_loss_and_grads` is the
@@ -19,10 +20,11 @@ two sigmoids differ in the last bit for some inputs, so the logits must agree
 to 1e-12 of the batch's largest logit, the loss to a relative 1e-12 and the
 gradients up to rounding (`LSTM_GRAD_RTOL`).
 
-`predict` runs the inference forward on slices of `TrainConfig.batch_size`
-trials. Single-shot inference is the oracle: the logits must be bitwise equal
-while the batch fits one slice, and agree to 1e-12 of the largest logit
-beyond it, where OpenBLAS may pick another kernel for another row count.
+`forward`, and so `predict`, runs the inference forward on slices of
+`TrainConfig.batch_size` trials. Single-shot inference is the oracle: the
+logits must be bitwise equal while the batch fits one slice, and agree to
+1e-12 of the largest logit beyond it, where OpenBLAS may pick another kernel
+for another row count. Their peak memory must not grow with the batch.
 """
 
 import tracemalloc
@@ -213,7 +215,9 @@ def assert_matches_oracle(model, x, y, rng):
     logits, (caches, *_rest) = model._forward(x, keep=False)
     assert caches == []
     assert np.array_equal(logits, model._forward(x)[0])
-    expected = oracle_forward(model, x)
+    rows = TrainConfig.batch_size
+    expected = np.concatenate([oracle_forward(model, x[i:i + rows])
+                               for i in range(0, len(x), rows)])
     assert np.array_equal(model.forward(x), expected)
     assert np.array_equal(model.predict(x), expected.argmax(axis=1))
     assert model.loss(x, y) == oracle_loss(model, x, y)
@@ -355,15 +359,15 @@ def test_sliced_predict_matches_single_shot(kind, N, seed):
 
 
 class TestInferenceMemory:
-    """predict on the cross-domain test-set size keeps no backprop state."""
+    """Inference on the cross-domain test-set size keeps no backprop state."""
 
     N, G, F = 400, 64, 12
 
-    def _peak_bytes(self, model, n=N):
+    def _peak_bytes(self, model, n=N, entry="predict"):
         x = np.random.default_rng(0).standard_normal((n, self.G, self.F))
         tracemalloc.start()
         try:
-            model.predict(x)
+            getattr(model, entry)(x)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -378,8 +382,10 @@ class TestInferenceMemory:
 
     @pytest.mark.parametrize("make", [LstmModel, TcnModel], ids=["lstm", "tcn"])
     def test_predict_peak_does_not_grow_with_n(self, make):
-        """predict works in slices of one training batch, so 400 trials
-        peak within a quarter (plus 1 MB) of one batch's peak."""
+        """forward, and predict through it, work in slices of one training
+        batch, so 400 trials peak within a quarter (plus 1 MB) of one batch's
+        peak."""
         model = make(self.F)
-        one_slice = self._peak_bytes(model, TrainConfig.batch_size)
-        assert self._peak_bytes(model) <= 1.25 * one_slice + 1e6
+        for entry in ("predict", "forward"):
+            one_slice = self._peak_bytes(model, TrainConfig.batch_size, entry)
+            assert self._peak_bytes(model, entry=entry) <= 1.25 * one_slice + 1e6, entry

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from haptix import svm
@@ -11,11 +13,11 @@ from haptix.evaluation import CLASS_LABELS
 from haptix.svm import (
     SvmModel,
     _flat_rows,
+    from_dict,
     hinge_objective,
-    model_from_dict,
-    model_to_dict,
     predict_svm,
     save_model,
+    to_dict,
     train_svm,
 )
 
@@ -77,8 +79,7 @@ class TestTraining:
         X, y = blobs(rng, {"a": (2.0, 2.0), "b": (-2.0, -2.0)})
         model, hist = train_svm(X, y, ("a", "b"), C=1.0, epochs=50, seed=0,
                                 return_history=True)
-        preds = [predict_svm(model, x)[0] for x in X]
-        assert preds == [("a", "b")[k] for k in y]
+        assert list(predict_svm(model, X)) == y
         for c in ("a", "b"):
             assert hist[c][-1] < hist[c][0]
             assert hist[c][-1] < 0.5
@@ -120,19 +121,15 @@ class TestTraining:
         X, y = blobs(rng, centers, per_class=15)
         model = train_svm(X, y, CLASS_LABELS, epochs=60, seed=1)
         assert model.classes == CLASS_LABELS
-        hits = sum(predict_svm(model, x)[0] == CLASS_LABELS[k]
-                   for x, k in zip(X, y))
-        assert hits / len(y) >= 0.95
+        assert np.mean(predict_svm(model, X) == y) >= 0.95
 
     def test_explicit_class_order_respected(self):
         rng = np.random.default_rng(6)
         X, y = blobs(rng, {"b": (-2.0, 0.0), "a": (2.0, 0.0)}, per_class=8)
         model = train_svm(X, y, ("b", "a"), epochs=30)
         assert model.classes == ("b", "a")
-        # scores come back aligned with model.classes
-        pred, scores = predict_svm(model, np.array([-2.0, 0.0]))
-        assert pred == "b"
-        assert scores[0] > scores[1]
+        # indices point into model.classes
+        assert list(predict_svm(model, np.array([[-2.0, 0.0], [2.0, 0.0]]))) == [0, 1]
 
     def test_single_class_rejected(self):
         X = np.zeros((4, 2))
@@ -157,13 +154,40 @@ class TestTraining:
                 train_svm(np.eye(3), y, ("a", "b"))
 
 
+def per_row_argmax(model, X):
+    """The per-row prediction predict_svm replaced: argmax(W @ x + b) of each
+    row on its own."""
+    return [int(np.argmax(model.W @ x + model.b)) for x in X]
+
+
 class TestPredict:
     def test_tie_breaks_to_first_class(self):
         model = SvmModel(W=np.zeros((4, 2)), b=np.zeros(4), C=1.0,
                          classes=CLASS_LABELS)
-        pred, scores = predict_svm(model, np.ones(2))
-        assert pred == "hard-skin"
-        assert np.all(scores == 0.0)
+        assert list(predict_svm(model, np.ones((3, 2)))) == [0, 0, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 40), d=st.integers(1, 300), c=st.integers(2, 12),
+           exact=st.booleans(), zero=st.booleans(), seed=st.integers(0, 2**16))
+    @example(n=5, d=3, c=4, exact=False, zero=True, seed=0)
+    def test_matches_per_row_argmax(self, n, d, c, exact, zero, seed):
+        """One product picks each row's class as the per-row scores did.
+        Small integers make the scores exact, so ties are common and must go
+        to the first class; zero weights tie every class and give index 0."""
+        rng = np.random.default_rng(seed)
+        if exact:
+            W, b = rng.integers(-2, 3, (c, d)), rng.integers(-2, 3, c)
+            X = rng.integers(-2, 3, (n, d))
+        else:
+            W, b, X = rng.normal(size=(c, d)), rng.normal(size=c), rng.normal(size=(n, d))
+        if zero:
+            W, b = np.zeros((c, d)), np.zeros(c)
+        model = SvmModel(W=W, b=b, C=1.0, classes=tuple(range(c)))
+        got = predict_svm(model, X)
+        assert got.dtype == np.int64 and got.shape == (n,)
+        assert list(got) == per_row_argmax(model, X)
+        if zero:
+            assert not got.any()
 
     def test_positive_score_scaling_keeps_argmax(self):
         rng = np.random.default_rng(8)
@@ -172,33 +196,34 @@ class TestPredict:
         for alpha in (0.01, 1.0, 250.0):
             scaled = SvmModel(W=alpha * model.W, b=alpha * model.b, C=1.0,
                               classes=CLASS_LABELS)
-            for _ in range(20):
-                x = rng.normal(size=3)
-                assert predict_svm(model, x)[0] is predict_svm(scaled, x)[0]
+            X = rng.normal(size=(20, 3))
+            np.testing.assert_array_equal(predict_svm(model, X),
+                                          predict_svm(scaled, X))
 
     def test_rejects_feature_matrix(self):
-        # one flattened row only; (N, G, F) tensors go through svm.predict
+        # flattened (N, D) rows only; (N, G, F) tensors go through svm.predict
         model = SvmModel(W=np.eye(2, 8), b=np.zeros(2), C=1.0,
                          classes=("a", "b"))
-        with pytest.raises(DimensionMismatch):
-            predict_svm(model, np.ones((4, 2)))
+        for x in (np.ones((1, 4, 2)), np.ones(8)):
+            with pytest.raises(DimensionMismatch):
+                predict_svm(model, x)
         assert list(svm.predict(model, np.ones((1, 4, 2)))) == [0]
 
     def test_dimension_mismatch(self):
         model = SvmModel(W=np.zeros((2, 3)), b=np.zeros(2), C=1.0,
                          classes=("a", "b"))
         with pytest.raises(DimensionMismatch):
-            predict_svm(model, np.zeros(4))
+            predict_svm(model, np.zeros((1, 4)))
 
 
 class TestSerialization:
     def test_compliance_classes_stored_as_labels(self):
         model = SvmModel(W=np.ones((4, 2)), b=np.zeros(4), C=1.0,
                          classes=CLASS_LABELS)
-        d = model_to_dict(model)
+        d = to_dict(model)
         assert d["kind"] == "svm"
         assert d["classes"] == ["hard-skin", "hard", "medium", "soft"]
-        back = model_from_dict(json.loads(json.dumps(d)))
+        back = from_dict(json.loads(json.dumps(d)))
         assert back.classes == CLASS_LABELS
         np.testing.assert_array_equal(back.W, model.W)
 
@@ -216,7 +241,7 @@ class TestSerialization:
     def test_plain_labels_survive(self):
         model = SvmModel(W=np.ones((2, 2)), b=np.zeros(2), C=0.5,
                          classes=("a", "b"), channel_names=("fx", "fz"))
-        back = model_from_dict(model_to_dict(model))
+        back = from_dict(to_dict(model))
         assert back.classes == ("a", "b")
         assert back.channel_names == ("fx", "fz")
         assert back.C == 0.5
@@ -227,6 +252,6 @@ class TestSerialization:
                          C=1.5, classes=CLASS_LABELS)
         p = tmp_path / "svm.json"
         save_model(model, p)
-        back = model_from_dict(json.loads(p.read_text()))
+        back = from_dict(json.loads(p.read_text()))
         np.testing.assert_array_equal(back.W, model.W)
         np.testing.assert_array_equal(back.b, model.b)
