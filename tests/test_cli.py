@@ -480,6 +480,196 @@ class TestCrossDomain:
         assert SUMMARY_RE.match(line)
 
 
+def _records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _write_records(path, records, extra_lines=()):
+    lines = [json.dumps(rec) for rec in records] + list(extra_lines)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _no_contact(rec):
+    """The record with every force sample zeroed: contact detection fails."""
+    rec = dict(rec)
+    rec["wrench"] = [[row[0], 0.0, 0.0, 0.0, *row[4:]] for row in rec["wrench"]]
+    return rec
+
+
+BROKEN_LINE = '{"id": "x", "subject": '
+BROKEN_ERROR = "invalid JSON: Expecting value"
+
+
+class TestErrorPrecedence:
+    """Which of two faults in the input a command reports: a bad line
+    anywhere in a file, then fold assignment, then the features of the first
+    trial that cannot be gridded; cross-domain reads both files before it
+    grids either."""
+
+    def test_line_error_beats_earlier_feature_error(self, data_file, tmp_path,
+                                                    capsys):
+        recs = _records(data_file)
+        data = _write_records(tmp_path / "d.jsonl",
+                              [_no_contact(recs[0])] + recs[1:], [BROKEN_LINE])
+        rc = main(["evaluate", "--data", str(data), "--clf", "svm",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: line {len(recs) + 1}: {BROKEN_ERROR}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_duplicate_ids_beat_feature_error(self, data_file, tmp_path, capsys):
+        recs = _records(data_file)
+        dup = dict(recs[5], id=recs[4]["id"])
+        data = _write_records(tmp_path / "d.jsonl",
+                              [_no_contact(recs[0])] + recs[1:5] + [dup] + recs[6:])
+        rc = main(["evaluate", "--data", str(data), "--clf", "svm",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "data error: duplicate trial ids prevent fold assignment\n")
+
+    def test_feature_error_names_first_failing_trial(self, data_file, tmp_path,
+                                                     capsys):
+        recs = _records(data_file)
+        data = _write_records(tmp_path / "d.jsonl",
+                              recs[:2] + [_no_contact(r) for r in recs[2:4]]
+                              + recs[4:])
+        rc = main(["evaluate", "--data", str(data), "--clf", "svm",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "data error: no sustained force above 0.5 N for 0.05 s in trial "
+            f"{recs[2]['id']}\n")
+
+    def test_cross_domain_test_line_error_beats_train_feature_error(
+            self, data_file, tmp_path, capsys):
+        recs = _records(data_file)
+        train = _write_records(tmp_path / "train.jsonl",
+                               [_no_contact(recs[0])] + recs[1:])
+        test = _write_records(tmp_path / "test.jsonl", recs[:3], [BROKEN_LINE])
+        rc = main(["cross-domain", "--train-data", str(train),
+                   "--test-data", str(test), "--clf", "svm",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: line 4: {BROKEN_ERROR}\n"
+
+    def test_cross_domain_train_feature_error_beats_test_one(
+            self, data_file, tmp_path, capsys):
+        recs = _records(data_file)
+        train = _write_records(tmp_path / "train.jsonl",
+                               recs[:7] + [_no_contact(recs[7])] + recs[8:])
+        test = _write_records(tmp_path / "test.jsonl",
+                              [_no_contact(recs[0])] + recs[1:])
+        rc = main(["cross-domain", "--train-data", str(train),
+                   "--test-data", str(test), "--clf", "svm",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "data error: no sustained force above 0.5 N for 0.05 s in trial "
+            f"{recs[7]['id']}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--clf", "svm", "--features", "fz+bogus"],
+        ["ablate", "--clf", "svm", "--features", ","],
+        ["train", "--clf", "svm", "--duration", "-1"],
+    ])
+    def test_line_error_beats_bad_option(self, argv, data_file, tmp_path, capsys):
+        data = _write_records(tmp_path / "d.jsonl", _records(data_file)[:3],
+                              [BROKEN_LINE])
+        rc = main([*argv, "--data", str(data), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: line 4: {BROKEN_ERROR}\n"
+
+    def test_cross_domain_line_error_beats_bad_option(self, data_file, tmp_path,
+                                                      capsys):
+        good = _write_records(tmp_path / "good.jsonl", _records(data_file))
+        bad = _write_records(tmp_path / "bad.jsonl", _records(data_file)[:1],
+                             [BROKEN_LINE])
+        rc = main(["cross-domain", "--train-data", str(good),
+                   "--test-data", str(bad), "--clf", "svm",
+                   "--features", "bogus", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: line 2: {BROKEN_ERROR}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--data", "EMPTY"],
+        ["train", "--data", "EMPTY", "--clf", "svm"],
+        ["evaluate", "--data", "EMPTY", "--clf", "svm"],
+        ["ablate", "--data", "EMPTY", "--clf", "svm"],
+        ["cross-domain", "--train-data", "GOOD", "--test-data", "EMPTY",
+         "--clf", "svm"],
+    ])
+    def test_empty_file(self, argv, data_file, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n  \n")
+        paths = {"EMPTY": str(empty), "GOOD": str(data_file)}
+        rc = main([paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: no trials in {empty}\n"
+        assert not (tmp_path / "o").exists()
+
+
+class TestIngestAtomic:
+    """ingest writes dataset.jsonl whole or not at all."""
+
+    def _bad_last(self, data_file, tmp_path):
+        return _write_records(tmp_path / "bad.jsonl", _records(data_file),
+                              [BROKEN_LINE])
+
+    def test_bad_last_record_leaves_no_new_out_dir(self, data_file, tmp_path,
+                                                   capsys):
+        out = tmp_path / "new" / "out"
+        rc = main(["ingest", "--data", str(self._bad_last(data_file, tmp_path)),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: line 25: {BROKEN_ERROR}\n"
+        assert not (tmp_path / "new").exists()
+
+    def test_bad_last_record_keeps_existing_dataset(self, data_file, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        before = b'{"not": "touched"}\n'
+        (out / "dataset.jsonl").write_bytes(before)
+        rc = main(["ingest", "--data", str(self._bad_last(data_file, tmp_path)),
+                   "--out", str(out)])
+        assert rc == 2
+        assert sorted(p.name for p in out.iterdir()) == ["dataset.jsonl"]
+        assert (out / "dataset.jsonl").read_bytes() == before
+
+    def test_bad_last_record_leaves_empty_out_dir(self, data_file, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["ingest", "--data", str(self._bad_last(data_file, tmp_path)),
+                     "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
+
+    def test_canonicalizes_in_place(self, data_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["ingest", "--data", str(data_file), "--out", str(out)]) == 0
+        canonical = (out / "dataset.jsonl").read_bytes()
+        # the same trials written by json, with spaces after separators
+        _write_records(out / "dataset.jsonl", _records(out / "dataset.jsonl"))
+        assert (out / "dataset.jsonl").read_bytes() != canonical
+        capsys.readouterr()
+        assert main(["ingest", "--data", str(out / "dataset.jsonl"),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "ingested 24 trials: hard-skin=6 hard=6 medium=6 soft=6\n")
+        assert (out / "dataset.jsonl").read_bytes() == canonical
+        assert sorted(p.name for p in out.iterdir()) == ["dataset.jsonl", "run.json"]
+
+    def test_out_is_a_file_reported_after_line_error(self, data_file, tmp_path,
+                                                     capsys):
+        out = tmp_path / "out"
+        out.write_text("a file\n")
+        rc = main(["ingest", "--data", str(self._bad_last(data_file, tmp_path)),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: line 25: {BROKEN_ERROR}\n"
+
+
 class TestReport:
     def test_prints_and_reexports(self, eval_dir, tmp_path, capsys):
         out = tmp_path / "re"

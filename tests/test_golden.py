@@ -2,11 +2,12 @@
 
 A small fixed grid of commands runs through `haptix.cli.main` in a temporary
 directory: `evaluate` for each classifier, one `--per-item` run, one
-`--states-sweep` run, one `ablate` and `cross-domain` for each classifier.
-The sha256 of each result file must equal the digest committed below, so a
-change that flips a single prediction fails here. On a mismatch the failure
-names the file and prints the confusion rows whose counts moved (or the whole
-file, for the tables without a confusion).
+`--states-sweep` run, one `ablate`, `cross-domain` for each classifier and
+one `ingest`. The sha256 of each result file must equal the digest committed
+below, so a change that flips a single prediction, or one byte of the
+canonical trial file, fails here. On a mismatch the failure names the file
+and prints the confusion rows whose counts moved (or the whole file, for the
+files without a confusion).
 
 `model.json` and `loss_curve.csv` are not pinned: kernel changes that leave
 every prediction alone still move their last bits.
@@ -15,13 +16,15 @@ every prediction alone still move their last bits.
 import contextlib
 import hashlib
 import io
+import json
+import math
 
 import pytest
 
 from haptix.cli import main
 
 PINNED = ("report.json", "confusion.csv", "folds.csv", "ablation.csv",
-          "states_sweep.csv")
+          "states_sweep.csv", "dataset.jsonl")
 
 SVM = ["--epochs", "30"]
 HMM = ["--max-iter", "10"]
@@ -30,7 +33,8 @@ FIT = {"svm": SVM, "hmm": HMM, "tcn": NETS, "lstm": NETS}
 
 
 def _grid():
-    """name -> argv without --out; TRAIN and TEST stand for the data files."""
+    """name -> argv without --out; TRAIN, TEST and RAW stand for the data
+    files."""
     grid = {}
     for clf, fit in FIT.items():
         grid[f"evaluate-{clf}"] = ["evaluate", "--data", "TRAIN", "--clf", clf,
@@ -43,6 +47,7 @@ def _grid():
                             "--k", "3", "--states-sweep", "2,3", *HMM]
     grid["ablate"] = ["ablate", "--data", "TRAIN", "--clf", "svm", "--k", "3",
                       "--features", "fz,force,all", *SVM]
+    grid["ingest"] = ["ingest", "--data", "RAW"]
     return grid
 
 
@@ -122,6 +127,10 @@ DIGESTS = {
         "ablation.csv":
             "ba476904348ef4c54eb951aac5acf0edec075331842730855354eb4bf9e13d59",
     },
+    "ingest": {
+        "dataset.jsonl":
+            "cc8b08d4fad542b5ad5460843b96827ab4ad5be85a0ccc70b13a54660d99c310",
+    },
 }
 
 # run -> the count rows of its confusion.csv, one string per true label
@@ -183,12 +192,40 @@ CONFUSION = {
 }
 
 
+def raw_records():
+    """Four short records as another tool might write them: rotations
+    outside (-pi, pi], quaternion pose rows (t, px, py, pz, qw, qx, qy, qz)
+    mixed with angle rows in two records, integer samples, an item name in
+    another spelling, an upper-case source and a key the format lacks."""
+    records = []
+    items = ("grape", "Cherry_Tomato", "banana", "watermelon")
+    for j, item in enumerate(items):
+        wrench = [[0.01 * i, 0.1 * i, -0.2, 1.5 + 0.25 * i, 0, -0.02, 0.003 * i]
+                  for i in range(6)]
+        pose = []
+        for i in range(6):
+            head = [0.01 * i, 0.1, 0.2 - 0.01 * i, 0.3]
+            if j % 2 and i % 2:
+                pose.append(head + [0.9, 0.1 * i, -0.2, 0.05 * j])
+            else:
+                pose.append(head + [3.5 + i, -4.0 - 2 * math.pi * j, 7 * math.pi])
+        records.append({"id": f"raw-{j}", "subject": f"s{j % 2}",
+                        "session": 1 + j, "food_item": item,
+                        "source": "ROBOT" if j == 3 else "human",
+                        "wrench": wrench, "pose": pose, "note": "dropped"})
+    return records
+
+
 @pytest.fixture(scope="module")
 def data(tmp_path_factory):
     """48 noisy human trials to train on, 40 shifted robot trials to test on:
-    the test set spans two prediction slices of the networks."""
+    the test set spans two prediction slices of the networks. RAW holds the
+    records of raw_records for ingest."""
     root = tmp_path_factory.mktemp("golden")
-    paths = {"TRAIN": root / "train.jsonl", "TEST": root / "test.jsonl"}
+    paths = {"TRAIN": root / "train.jsonl", "TEST": root / "test.jsonl",
+             "RAW": root / "raw.jsonl"}
+    paths["RAW"].write_text("".join(json.dumps(r) + "\n" for r in raw_records()),
+                            encoding="utf-8")
     assert main(["synth", "--per-class", "12", "--noise", "0.3", "--seed", "11",
                  "--out", str(paths["TRAIN"])]) == 0
     assert main(["synth", "--per-class", "10", "--noise", "0.3", "--seed", "12",

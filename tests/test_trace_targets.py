@@ -106,3 +106,13 @@ def test_cross_domain_predicts_in_one_traced_call(tmp_path, clf):
                        "--test-data", str(test), "--clf", clf, "--epochs", "1",
                        "--out", str(tmp_path / "xd")])
     assert rows[f"nn.predict.{clf}"]["calls"] == 1
+
+
+def test_ingest_saves_once_and_counts_the_written_bytes(tmp_path):
+    """ingest's reading and writing both happen inside its one save_trials
+    span, whose bytes counter is the size of the file ingest leaves."""
+    data, out = tmp_path / "raw.jsonl", tmp_path / "canon"
+    save_trials(generate(GenConfig(trials_per_class=3, seed=5)), data)
+    rows = _trace_cli(["ingest", "--data", str(data), "--out", str(out)])
+    assert rows["core.save_trials"]["calls"] == 1
+    assert rows["core.save_trials"]["bytes"] == (out / "dataset.jsonl").stat().st_size
