@@ -12,6 +12,7 @@ from .core import (
     Source,
     Trial,
     align_streams,
+    iter_trials,
     load_trials,
     save_trials,
 )

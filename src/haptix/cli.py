@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import evaluation as ev
 from . import nn as nn_mod
-from .core import CLASS_ORDER, Source, load_trials, save_trials
+from .core import CLASS_ORDER, Source, iter_trials, save_trials
 from .errors import DataError, NumericalError
 from .preprocess import FeatureSet, PreprocConfig, fit_norm
 from .synthgen import GenConfig, generate
@@ -263,6 +264,20 @@ def _write_report(report: ev.EvalReport, run: dict, folds: bool = False) -> int:
     return 0
 
 
+def _after_reading(paths, check):
+    """check(), whose error, if it raises one, is reported only after the
+    trial files at `paths` have been read through: a bad record in them
+    comes first, as it did when every command loaded its files before it
+    looked at anything else."""
+    try:
+        return check()
+    except Exception:
+        for path in paths:
+            for _ in iter_trials(path):
+                pass
+        raise
+
+
 def _preproc_from(cfg: dict) -> PreprocConfig:
     duration = None if cfg["full_phase"] else cfg["duration"]
     return PreprocConfig(threshold=cfg["threshold"], hold=cfg["hold"],
@@ -283,14 +298,42 @@ def _params_from(cfg: dict) -> dict:
     return params
 
 
+def _features(cfg: dict, *paths) -> list[ev.TrialFeatures]:
+    """read_features of each trial file at `paths`, one pass per file, with
+    the feature set and the preprocessing of cfg."""
+    fs, preproc = _after_reading(paths, lambda: (FeatureSet.parse(cfg["features"]),
+                                                 _preproc_from(cfg)))
+    return [ev.read_features(iter_trials(path), [fs], preproc, cfg["delay"])
+            for path in paths]
+
+
 def _cmd_ingest(args) -> int:
-    ds = load_trials(_require_file(args.data, "trial file"))
-    out = _outdir(args.out)
-    save_trials(ds, out / "dataset.jsonl")
+    """Each record is written as it is read, into a file beside dataset.jsonl
+    that replaces it only once the last record is valid."""
+    data = _require_file(args.data, "trial file")
+    out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    _after_reading([data], lambda: out.mkdir(parents=True, exist_ok=True))
+    part = out / f".dataset.jsonl.{os.getpid()}"
+    counts = dict.fromkeys(CLASS_ORDER, 0)
+
+    def counted(trials):
+        for t in trials:
+            counts[t.label] += 1
+            yield t
+
+    try:
+        save_trials(counted(iter_trials(data)), part)
+        part.replace(out / "dataset.jsonl")
+    except BaseException:
+        part.unlink(missing_ok=True)
+        for d in made:
+            d.rmdir()
+        raise
     _write_run_json({"command": "ingest", "data": str(args.data),
                      "out": str(args.out)}, out / "run.json")
-    counts = " ".join(f"{c.label}={ds.class_counts[c]}" for c in CLASS_ORDER)
-    print(f"ingested {len(ds)} trials: {counts}")
+    tally = " ".join(f"{c.label}={counts[c]}" for c in CLASS_ORDER)
+    print(f"ingested {sum(counts.values())} trials: {tally}")
     return 0
 
 
@@ -315,13 +358,12 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _resolve(args)
     data = _require_file(args.data, "trial file")
-    ds = load_trials(data)
-    fs = FeatureSet.parse(cfg["features"])
-    X = ev.feature_tensor(ds, fs, _preproc_from(cfg), cfg["delay"])
+    [features] = _features(cfg, data)
+    fs, X = features.feature_sets[0], features.tensor()
     stats = fit_norm(X, fs.channel_names)
     params = ev.fit_params(ev.ClassifierSpec(args.clf, _params_from(cfg)), fs)
-    model = ev.fit_model(stats.apply(X), ev.label_indices(ds), ev.CLASS_LABELS,
-                         cfg["seed"], params)
+    model = ev.fit_model(stats.apply(X), ev.label_indices(features.trials),
+                         ev.CLASS_LABELS, cfg["seed"], params)
     out = _outdir(args.out)
     ev.FAMILIES[args.clf].save_model(model, out / "model.json")
     curve = getattr(model, "loss_curve", None)
@@ -332,7 +374,7 @@ def _cmd_train(args) -> int:
     (out / "norm.json").write_text(json.dumps(norm) + "\n", encoding="utf-8")
     run = dict(cfg, command="train", data=str(data), clf=args.clf, out=str(args.out))
     _write_run_json(run, out / "run.json")
-    print(f"trained {args.clf} on {len(ds)} trials -> {out / 'model.json'}")
+    print(f"trained {args.clf} on {len(X)} trials -> {out / 'model.json'}")
     return 0
 
 
@@ -346,15 +388,12 @@ def _evaluate_with_cfg(cfg: dict) -> int:
         except ValueError:
             raise UsageError("--states-sweep expects a comma list of integers, "
                              f"got {sweep!r}") from None
-    data = _require_file(cfg["data"], "trial file")
-    ds = load_trials(data)
-    fs = FeatureSet.parse(cfg["features"])
-    preproc = _preproc_from(cfg)
-    split = ev.kfold_split(ds, cfg["k"], seed=cfg["seed"],
+    [features] = _features(cfg, _require_file(cfg["data"], "trial file"))
+    split = ev.kfold_split(features.trials, cfg["k"], seed=cfg["seed"],
                            group_by=cfg["group_by"])
     params = _params_from(cfg)
-    X = ev.feature_tensor(ds, fs, preproc, cfg["delay"])
-    y = ev.label_indices(ds, cfg["per_item"])
+    fs, X = features.feature_sets[0], features.tensor()
+    y = ev.label_indices(features.trials, cfg["per_item"])
 
     def cv(spec: ev.ClassifierSpec) -> ev.EvalReport:
         return ev.run_cv(X, y, split, spec, fs, per_item=cfg["per_item"])
@@ -409,14 +448,18 @@ def _cmd_evaluate(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg = _resolve(args)
     data = _require_file(args.data, "trial file")
-    ds = load_trials(data)
-    sets = [FeatureSet.parse(tok) for tok in cfg["features"].split(",") if tok]
-    if not sets:
-        raise UsageError("--features must list at least one feature set")
-    preproc = _preproc_from(cfg)
-    split = ev.kfold_split(ds, cfg["k"], seed=cfg["seed"])
+
+    def sets_and_preproc():
+        sets = [FeatureSet.parse(tok) for tok in cfg["features"].split(",") if tok]
+        if not sets:
+            raise UsageError("--features must list at least one feature set")
+        return sets, _preproc_from(cfg)
+
+    sets, preproc = _after_reading([data], sets_and_preproc)
+    features = ev.read_features(iter_trials(data), sets, preproc, cfg["delay"])
+    split = ev.kfold_split(features.trials, cfg["k"], seed=cfg["seed"])
     spec = ev.ClassifierSpec(args.clf, _params_from(cfg))
-    rows = ev.ablate_features(ds, spec, sets, split, preproc, cfg["delay"])
+    rows = ev.ablate_features(features, spec, split)
     out = _outdir(args.out)
     ev.write_ablation_csv(rows, out / "ablation.csv")
     run = dict(cfg, command="ablate", data=str(data), clf=args.clf, out=str(args.out))
@@ -431,15 +474,12 @@ def _cmd_cross_domain(args) -> int:
     cfg = _resolve(args)
     train_path = _require_file(args.train_data, "trial file")
     test_path = _require_file(args.test_data, "trial file")
-    train_ds = load_trials(train_path)
-    test_ds = load_trials(test_path)
-    fs = FeatureSet.parse(cfg["features"])
+    train, test = _features(cfg, train_path, test_path)
+    fs = train.feature_sets[0]
     spec = ev.ClassifierSpec(args.clf, _params_from(cfg))
-    preproc = _preproc_from(cfg)
-    X_train = ev.feature_tensor(train_ds, fs, preproc, cfg["delay"])
-    X_test = ev.feature_tensor(test_ds, fs, preproc, cfg["delay"])
-    report = ev.cross_domain_eval(X_train, ev.label_indices(train_ds), X_test,
-                                  ev.label_indices(test_ds), spec, fs, cfg["seed"])
+    X_train, X_test = train.tensor(), test.tensor()
+    report = ev.cross_domain_eval(X_train, ev.label_indices(train.trials), X_test,
+                                  ev.label_indices(test.trials), spec, fs, cfg["seed"])
     run = dict(cfg, command="cross-domain", train_data=str(train_path),
                test_data=str(test_path), clf=args.clf, out=str(args.out))
     return _write_report(report, run)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +27,13 @@ from .errors import (
 # orjson parses every document of up to about 640 kB inside one 8 MiB buffer
 # that it allocates on its first call. Made here, at import, the buffer gets a
 # mapping of its own, whose pages become resident only as parsing uses them.
-# Made by the first load_trials, it lands inside the heap whenever glibc's
-# adaptive mmap threshold has by then risen past 8 MiB, which varies from run
-# to run, and takes up free heap memory that the load's temporaries would
-# have reused: the peak RSS of ingesting 40 trials of 2-6 s at 1 kHz then
-# went from 99 MB to 106 MB, in about one run in eight.
+# Made by the first parse, it lands inside the heap whenever glibc's adaptive
+# mmap threshold has by then risen past 8 MiB, which varies from run to run,
+# and takes up free heap memory that a whole-file load's temporaries would
+# have reused (load_trials of 40 trials of 2-6 s at 1 kHz: 99 MB peak RSS,
+# 106 MB in about one run in eight). Read one record at a time, a file leaves
+# far fewer temporaries: ingest of 40 trials of 2-6 s at 1 kHz peaked at
+# 44.0-44.3 MB with or without this call, in 12 runs each.
 orjson.loads(b"0")
 
 # Measured lag of the pose stream behind the force/torque stream (seconds).
@@ -219,17 +221,9 @@ class Trial:
 @dataclass(frozen=True, eq=False)
 class Dataset:
     trials: tuple[Trial, ...]
-    class_counts: dict[ComplianceClass, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        trials = tuple(self.trials)
-        counts = {c: 0 for c in CLASS_ORDER}
-        for t in trials:
-            counts[t.label] += 1
-        if self.class_counts and dict(self.class_counts) != counts:
-            raise ValueError("class_counts inconsistent with trials")
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "class_counts", counts)
+        object.__setattr__(self, "trials", tuple(self.trials))
 
     def __len__(self) -> int:
         return len(self.trials)
@@ -359,26 +353,34 @@ def _read_line(line: str, lineno: int) -> Trial:
     return _trial_from_record(rec, lineno)
 
 
-def load_trials(path) -> Dataset:
-    """Load a JSON-lines trial file. Raises on the first invalid record."""
+def iter_trials(path):
+    """The trials of a JSON-lines trial file, read and validated one line at
+    a time. Raises on the first invalid record, and EmptyDataset at the end
+    of a file without one."""
     path = Path(path)
-    trials = []
+    empty = True
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                trials.append(_read_line(line, lineno))
-    if not trials:
+                empty = False
+                yield _read_line(line, lineno)
+    if empty:
         raise EmptyDataset(f"no trials in {path}")
-    return Dataset(trials=tuple(trials))
 
 
-def save_trials(dataset: Dataset, path) -> None:
-    """Write a Dataset in the JSON-lines trial format (round-trip exact), as
-    compact JSON."""
+def load_trials(path) -> Dataset:
+    """Every trial of a JSON-lines trial file, as one Dataset."""
+    return Dataset(trials=tuple(iter_trials(path)))
+
+
+def save_trials(trials, path) -> None:
+    """Write trials (a Dataset or any iterable of Trials, consumed one at a
+    time) in the JSON-lines trial format (round-trip exact), as compact
+    JSON."""
     path = Path(path)
     with path.open("wb") as fh:
-        for t in dataset.trials:
+        for t in trials:
             rec = {
                 "id": t.id,
                 "subject": t.subject,

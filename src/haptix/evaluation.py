@@ -1,6 +1,11 @@
 """Cross-validation harness, confusion/ablation/cross-domain reports, and the
 statistical tests (one-way ANOVA, Tukey HSD, Welch t-test).
 
+Trials reach the harness through read_features, one pass over a Dataset or
+over `core.iter_trials(path)` that keeps each trial's metadata and its grid
+block and drops its streams; fold assignment and labels read the metadata,
+the classifiers the (N, G, F) feature tensor.
+
 Fold hygiene: normalization statistics and classifier parameters are fitted
 on training folds only; the held-out fold never touches them.
 """
@@ -11,7 +16,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +25,7 @@ from . import nn as nn_mod
 from . import svm as svm_mod
 from .core import (
     CLASS_ORDER,
-    Dataset,
+    ComplianceClass,
     DEFAULT_STREAM_DELAY,
     ITEM_CLASSES,
     ITEM_ORDER,
@@ -61,16 +66,17 @@ class FoldSplit:
         object.__setattr__(self, "folds", folds)
 
 
-def kfold_split(ds: Dataset, k: int, seed: int = 0, stratified: bool = True,
+def kfold_split(trials, k: int, seed: int = 0, stratified: bool = True,
                 group_by: Optional[str] = None) -> FoldSplit:
     """Deterministic fold assignment, stratified by class unless grouping.
 
+    trials: a Dataset, or the TrialMeta records of read_features.
     group_by "subject" keeps all of a subject's trials in one fold (and
     disables stratification).
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    ids = [t.id for t in ds.trials]
+    ids = [t.id for t in trials]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate trial ids prevent fold assignment")
     rng = np.random.default_rng(seed)
@@ -78,15 +84,15 @@ def kfold_split(ds: Dataset, k: int, seed: int = 0, stratified: bool = True,
     if group_by is not None:
         if group_by != "subject":
             raise ValueError(f"unsupported group_by {group_by!r}")
-        subjects = sorted({t.subject for t in ds.trials})
+        subjects = sorted({t.subject for t in trials})
         if len(subjects) < k:
             raise TooFewTrials("subject", k, len(subjects))
         order = rng.permutation(len(subjects))
         fold_of = {subjects[j]: i % k for i, j in enumerate(order)}
-        folds[:] = [fold_of[t.subject] for t in ds.trials]
+        folds[:] = [fold_of[t.subject] for t in trials]
         return FoldSplit(k=k, folds=folds, seed=seed, stratified=False)
     if stratified:
-        y = label_indices(ds)
+        y = label_indices(trials)
         for offset, c in enumerate(CLASS_ORDER):
             members = np.flatnonzero(y == offset)
             if members.size < k:
@@ -249,21 +255,73 @@ def _fit_predict(X_train, y, labels, X_test, seed, params):
     return FAMILIES[params["kind"]].predict(model, X_test)
 
 
-def feature_tensor(ds: Dataset, fs: FeatureSet,
+class TrialMeta(NamedTuple):
+    """A trial without its streams: what fold assignment and labels read."""
+
+    id: str
+    subject: str
+    label: ComplianceClass
+    food_item: str
+
+
+@dataclass(frozen=True, eq=False)
+class TrialFeatures:
+    """What read_features keeps of its trials: their metadata in input
+    order and, for each feature set, the (N, G, F) tensor or the error that
+    ended its gridding."""
+
+    trials: tuple
+    feature_sets: tuple
+    tensors: tuple
+
+    def tensor(self, i: int = 0) -> np.ndarray:
+        """The tensor of feature_sets[i]; raises the first error that
+        gridding a trial for it raised."""
+        X = self.tensors[i]
+        if isinstance(X, Exception):
+            raise X
+        return X
+
+
+def read_features(trials, feature_sets: Sequence[FeatureSet],
+                  preproc: PreprocConfig = PreprocConfig(),
+                  delay: float = DEFAULT_STREAM_DELAY) -> TrialFeatures:
+    """Metadata and features, not normalized, of `trials` (a Dataset, or
+    core.iter_trials(path)) in one pass that holds one trial's streams at a
+    time. A trial that cannot be gridded ends the gridding for that feature
+    set: its error waits in the result, and the pass reads on, so that a bad
+    record later in the file, or a fold assignment error, comes first."""
+    meta = []
+    blocks = [[] for _ in feature_sets]
+    errors = [None] * len(feature_sets)
+    for t in trials:
+        meta.append(TrialMeta(t.id, t.subject, t.label, t.food_item))
+        for i, fs in enumerate(feature_sets):
+            if errors[i] is None:
+                try:
+                    blocks[i].append(prepare_trial(align_streams(t, delay), fs,
+                                                   preproc))
+                except (DataError, ValueError) as exc:
+                    errors[i] = exc
+    tensors = tuple(np.stack(b) if e is None else e for b, e in zip(blocks, errors))
+    return TrialFeatures(tuple(meta), tuple(feature_sets), tensors)
+
+
+def feature_tensor(trials, fs: FeatureSet,
                    preproc: PreprocConfig = PreprocConfig(),
                    delay: float = DEFAULT_STREAM_DELAY) -> np.ndarray:
-    """(N, G, F) features of every trial, in dataset order, not normalized."""
-    return np.stack([prepare_trial(align_streams(t, delay), fs, preproc)
-                     for t in ds.trials])
+    """(N, G, F) features of every trial, in input order, not normalized."""
+    return read_features(trials, [fs], preproc, delay).tensor()
 
 
-def label_indices(ds: Dataset, per_item: bool = False) -> np.ndarray:
-    """Each trial's label in dataset order: an index into CLASS_LABELS, or
-    into ITEM_ORDER when per_item."""
+def label_indices(trials, per_item: bool = False) -> np.ndarray:
+    """Each trial's label in input order (trials: a Dataset, or TrialMeta
+    records): an index into CLASS_LABELS, or into ITEM_ORDER when
+    per_item."""
     if per_item:
         return np.array([ITEM_ORDER.index(normalize_item_name(t.food_item))
-                         for t in ds.trials], dtype=np.int64)
-    return np.array([class_index(t.label) for t in ds.trials], dtype=np.int64)
+                         for t in trials], dtype=np.int64)
+    return np.array([class_index(t.label) for t in trials], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +396,17 @@ def run_cv(X, y, split: FoldSplit, spec: ClassifierSpec, fs: FeatureSet,
     )
 
 
-def ablate_features(ds: Dataset, spec: ClassifierSpec,
-                    feature_sets: Sequence[FeatureSet], split: FoldSplit,
-                    preproc: PreprocConfig = PreprocConfig(),
-                    delay: float = DEFAULT_STREAM_DELAY) -> list[dict]:
-    """One run_cv per feature set on identical folds, best first."""
-    if not feature_sets:
+def ablate_features(features: TrialFeatures, spec: ClassifierSpec,
+                    split: FoldSplit) -> list[dict]:
+    """One run_cv per feature set of read_features' result on identical
+    folds, best first."""
+    if not features.feature_sets:
         raise ValueError("need at least one feature set")
-    y = label_indices(ds)
+    y = label_indices(features.trials)
     rows = []
     widths = {}
-    for fs in feature_sets:
-        X = feature_tensor(ds, fs, preproc, delay)
-        report = run_cv(X, y, split, spec, fs)
+    for i, fs in enumerate(features.feature_sets):
+        report = run_cv(features.tensor(i), y, split, spec, fs)
         rows.append({
             "feature_set": fs.spec_string(),
             "mean_accuracy": report.mean_accuracy,

@@ -25,6 +25,7 @@ from haptix.evaluation import (
     feature_tensor,
     kfold_split,
     label_indices,
+    read_features,
     run_cv,
     ablate_features,
     ttest_2tailed,
@@ -229,8 +230,8 @@ def test_criterion_06_fz_dominates_ablation():
                             fz_only=True))
     split = kfold_split(ds, 3, seed=11)
     sets = [FeatureSet.parse(s) for s in ("fz", "force", "all", "all-fz")]
-    rows = ablate_features(ds, ClassifierSpec("tcn", {"epochs": 60}),
-                           sets, split)
+    rows = ablate_features(read_features(ds, sets),
+                           ClassifierSpec("tcn", {"epochs": 60}), split)
     by_set = {r["feature_set"]: r["mean_accuracy"] for r in rows}
     fz_first = rows[0]["feature_set"] == FeatureSet.parse("fz").spec_string()
     no_fz = by_set[FeatureSet.parse("all-fz").spec_string()]

@@ -15,6 +15,7 @@ from haptix.core import (
     align_streams,
     class_index,
     item_class,
+    iter_trials,
     load_trials,
     normalize_item_name,
     quaternion_to_fixed_xyz,
@@ -151,7 +152,7 @@ class TestTrial:
 
 
 class TestDataset:
-    def test_counts_per_class(self):
+    def test_holds_trials_in_order(self):
         trials = [ramp_trial(trial_id=f"t{i}", label=c, item=item)
                   for i, (c, item) in enumerate([
                       (ComplianceClass.HARD_SKIN, "grape"),
@@ -159,15 +160,10 @@ class TestDataset:
                       (ComplianceClass.HARD, "apple"),
                       (ComplianceClass.SOFT, "banana"),
                   ])]
-        ds = Dataset(trials=tuple(trials))
-        assert ds.class_counts[ComplianceClass.HARD] == 2
-        assert ds.class_counts[ComplianceClass.MEDIUM] == 0
+        ds = Dataset(trials=iter(trials))
+        assert isinstance(ds.trials, tuple)
         assert len(ds) == 4
-
-    def test_inconsistent_counts_rejected(self):
-        tr = ramp_trial()
-        with pytest.raises(ValueError):
-            Dataset(trials=(tr,), class_counts={ComplianceClass.SOFT: 1})
+        assert list(ds) == trials
 
 
 class TestTrialFileIO:
@@ -218,6 +214,28 @@ class TestTrialFileIO:
         p.write_text("\n\n")
         with pytest.raises(EmptyDataset):
             load_trials(p)
+
+    def test_iter_trials_reads_one_record_at_a_time(self, tmp_path):
+        p = tmp_path / "trials.jsonl"
+        p.write_text(json.dumps(self._record()) + "\n{oops\n")
+        trials = iter_trials(p)
+        assert next(trials).id == "h-001"
+        with pytest.raises(MalformedRecord) as exc:
+            next(trials)
+        assert exc.value.line_number == 2
+
+    def test_iter_trials_rejects_empty_file_at_its_end(self, tmp_path):
+        p = tmp_path / "trials.jsonl"
+        p.write_text("\n \n")
+        with pytest.raises(EmptyDataset, match=f"no trials in {p}"):
+            next(iter_trials(p))
+
+    def test_save_trials_takes_any_iterable(self, tmp_path):
+        src, dst = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_trials(Dataset((ramp_trial(trial_id="a"), ramp_trial(trial_id="b"))),
+                    src)
+        save_trials(iter_trials(src), dst)
+        assert dst.read_bytes() == src.read_bytes()
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "trials.jsonl"

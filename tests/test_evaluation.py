@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from scipy import stats as sps
 from scipy.special import betainc, gammaln, ndtr
 
 from haptix.core import (CLASS_ORDER, ITEM_CLASSES, ITEM_ORDER, ComplianceClass,
-                         Dataset, Trial, class_index, normalize_item_name)
+                         Dataset, Source, Trial, align_streams, class_index,
+                         iter_trials, load_trials, normalize_item_name,
+                         save_trials)
 from haptix import evaluation
 from haptix.errors import DataError, DegenerateGroups, NoContact, TooFewTrials
 from haptix.evaluation import (
@@ -24,6 +28,7 @@ from haptix.evaluation import (
     feature_tensor,
     kfold_split,
     label_indices,
+    read_features,
     report_from_dict,
     report_to_dict,
     run_cv,
@@ -34,7 +39,7 @@ from haptix.evaluation import (
     write_confusion_csv,
     write_folds_csv,
 )
-from haptix.preprocess import FeatureSet
+from haptix.preprocess import FeatureSet, prepare_trial
 from haptix.synthgen import GenConfig, generate
 
 CLASS_LABELS = tuple(c.label for c in CLASS_ORDER)
@@ -361,6 +366,79 @@ class TestRunCv:
             np.testing.assert_array_equal(report.item_confusion, item_conf)
 
 
+class TestReadFeatures:
+    """read_features against the per-trial stack it replaced, and the memory
+    its one pass holds."""
+
+    @staticmethod
+    def oracle_tensor(ds, fs, delay=0.030):
+        return np.stack([prepare_trial(align_streams(t, delay), fs)
+                         for t in ds.trials])
+
+    def test_file_pass_equals_dataset_oracle(self, small_ds, tmp_path):
+        path = tmp_path / "d.jsonl"
+        save_trials(small_ds, path)
+        sets = [FeatureSet.parse(s) for s in ("fz", "all+deriv")]
+        got = read_features(iter_trials(path), sets)
+        assert got.feature_sets == tuple(sets)
+        assert [tuple(m) for m in got.trials] == [
+            (t.id, t.subject, t.label, t.food_item) for t in small_ds.trials]
+        for i, fs in enumerate(sets):
+            want = self.oracle_tensor(small_ds, fs)
+            assert np.array_equal(got.tensor(i), want)
+            assert np.array_equal(feature_tensor(small_ds, fs), want)
+
+    def test_metadata_reads_like_the_dataset(self, small_ds):
+        meta = read_features(small_ds, [FeatureSet.parse("fz")]).trials
+        for per_item in (False, True):
+            assert np.array_equal(label_indices(meta, per_item),
+                                  label_indices(small_ds, per_item))
+        for kw in ({}, {"stratified": False}, {"group_by": "subject"}):
+            assert np.array_equal(kfold_split(meta, 3, seed=2, **kw).folds,
+                                  kfold_split(small_ds, 3, seed=2, **kw).folds)
+
+    def test_gridding_error_waits_for_its_tensor(self, small_ds):
+        """A px of 1.5e306 grids for px but overflows px's derivative: only
+        the derivative set keeps an error, the first one, and every trial's
+        metadata is still read."""
+        trials = list(small_ds.trials)
+        for i in (3, 7):
+            pose = trials[i].pose.copy()
+            pose[:, 1] = 1.5e306
+            trials[i] = dataclasses.replace(trials[i], pose=pose)
+        sets = [FeatureSet.parse("px"), FeatureSet.parse("px+deriv")]
+        with np.errstate(all="ignore"):
+            got = read_features(trials, sets)
+        assert len(got.trials) == len(trials)
+        assert got.tensor(0).shape == (len(trials), 64, 1)
+        with pytest.raises(ValueError, match="non-finite") as first:
+            got.tensor(1)
+        with pytest.raises(ValueError) as again:
+            got.tensor(1)
+        assert again.value is first.value
+
+    def test_one_pass_peak_stays_near_the_tensor(self, tmp_path):
+        """Reading and gridding a 400-trial file holds one trial's streams
+        at a time, so the traced peak stays within the tensor's grid blocks
+        plus their stack (2 x its bytes) and 1 MB. Loading the whole Dataset
+        before gridding peaked at 12.8 MB against this 5.7 MB bound."""
+        path = tmp_path / "robot.jsonl"
+        save_trials(generate(GenConfig(trials_per_class=100, seed=6,
+                                       domain_shift=1.2, source=Source.ROBOT)),
+                    path)
+        fs = FeatureSet.parse("all")
+        tracemalloc.start()
+        try:
+            features = read_features(iter_trials(path), [fs])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        X = features.tensor()
+        assert X.shape == (400, 64, 12)
+        assert np.array_equal(X, self.oracle_tensor(load_trials(path), fs))
+        assert peak <= 2 * X.nbytes + 2**20, (peak, X.nbytes)
+
+
 class TestTally:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
@@ -382,8 +460,8 @@ class TestAblation:
     def test_sorted_with_parsimony_tie_break(self, small_ds):
         split = kfold_split(small_ds, 3, seed=0)
         sets = [FeatureSet.parse(s) for s in ("all", "fz", "force")]
-        rows = ablate_features(small_ds, ClassifierSpec("svm", {"epochs": 120}),
-                               sets, split)
+        rows = ablate_features(read_features(small_ds, sets),
+                               ClassifierSpec("svm", {"epochs": 120}), split)
         assert [r["feature_set"] for r in rows] == ["fz", "fx+fy+fz", "all"]
         assert rows[0]["mean_accuracy"] == rows[1]["mean_accuracy"] == 1.0
         assert rows[2]["mean_accuracy"] < 1.0
@@ -391,7 +469,8 @@ class TestAblation:
     def test_empty_sets_rejected(self, small_ds):
         split = kfold_split(small_ds, 3, seed=0)
         with pytest.raises(ValueError):
-            ablate_features(small_ds, ClassifierSpec("svm"), [], split)
+            ablate_features(read_features(small_ds, []), ClassifierSpec("svm"),
+                            split)
 
     def test_csv_format(self, tmp_path):
         rows = [
