@@ -265,10 +265,9 @@ def _write_report(report: ev.EvalReport, run: dict, folds: bool = False) -> int:
 
 
 def _after_reading(paths, check):
-    """check(), whose error, if it raises one, is reported only after the
-    trial files at `paths` have been read through: a bad record in them
-    comes first, as it did when every command loaded its files before it
-    looked at anything else."""
+    """check(), whose error, if it raises one, is re-raised only after the
+    trial files at `paths` have been read through, so that a bad record in
+    them is reported before a bad option or output directory."""
     try:
         return check()
     except Exception:

@@ -4,6 +4,10 @@ A trial is one feeding attempt: a wrench stream (force/torque in the fork's
 local frame, z along the tines) and a pose stream (position in meters,
 fixed-axis XYZ rotations in radians, global frame), plus the food item and
 its compliance label.
+
+A trial file is read by iter_trials, one validated record at a time, so a
+caller that consumes each trial as it comes holds one trial's streams at
+once; load_trials collects them into a Dataset.
 """
 
 from __future__ import annotations
