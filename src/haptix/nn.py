@@ -15,11 +15,18 @@ memory is set by the model, not by the number of trials, and `predict` is its
 argmax. The logits can differ from a single pass's in the last bits, since
 OpenBLAS picks its kernel by row count. `loss` and `loss_and_grads` run their
 batch in one pass.
+
+While `train` runs, the model holds a workspace: the batch and the large
+training temporaries are prefixes of buffers named by role, sized by the
+first (largest) batch, so later steps take no fresh pages, and the results
+are bitwise those of fresh arrays. Everywhere else (`forward` and so every
+inference slice, `predict`, `loss`, a direct `loss_and_grads`) allocates anew.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -47,6 +54,17 @@ def _batch_ce(logits: np.ndarray, y: np.ndarray):
     dlogits = p.copy()
     dlogits[np.arange(n), y] -= 1.0
     return loss, dlogits / n
+
+
+def _buf(ws, role, shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialised array of `shape`: fresh when the workspace ws is None,
+    else a contiguous prefix of its buffer `role`, regrown when too small."""
+    if ws is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    if role not in ws or ws[role].size < size:
+        ws[role] = np.empty(size, dtype)
+    return ws[role][:size].reshape(shape)
 
 
 def _as_batch(x) -> np.ndarray:
@@ -92,7 +110,7 @@ def _sliced_logits(model, x) -> np.ndarray:
     return logits[0] if np.ndim(x) == 2 else logits
 
 
-def _pool2(r: np.ndarray):
+def _pool2(r: np.ndarray, ws=None):
     """Width-2 max pooling over axis 1 of (B, T, C): the pooled (B, T/2, C)
     array and the (B, T, C) bool mask of the elements that won their pair.
 
@@ -104,8 +122,12 @@ def _pool2(r: np.ndarray):
     v = r.reshape(B, T // 2, 2, C)
     v0, v1 = v[:, :, 0], v[:, :, 1]
     second = (v1 > v0) | (np.isnan(v1) & ~np.isnan(v0))
-    won = np.stack([~second, second], axis=2).reshape(B, T, C)
-    return np.where(second, v1, v0), won
+    won = _buf(ws, "won", v.shape, bool)
+    won[:, :, 0], won[:, :, 1] = ~second, second
+    pooled = _buf(ws, "pooled", v0.shape)
+    np.copyto(pooled, v0)
+    np.copyto(pooled, v1, where=second)
+    return pooled, won.reshape(B, T, C)
 
 
 class TcnModel:
@@ -117,6 +139,7 @@ class TcnModel:
     """
 
     kind = "tcn"
+    _ws = None  # the workspace `train` lends
 
     def __init__(self, in_channels: int, n_classes: int = 4, channels: int = 32,
                  depth: int = 4, kernel: int = 5, grid: int = 64, seed: int = 0):
@@ -157,12 +180,15 @@ class TcnModel:
         W = self.params[f"conv{layer}_W"]
         B, T, ci = x.shape
         pad = self.kernel // 2
-        xpad = np.zeros((B, T + 2 * pad, ci))
-        xpad[:, pad:pad + T, :] = x
-        cols = np.stack([xpad[:, k:k + T, :] for k in range(self.kernel)], axis=2)
-        del xpad
+        cols = _buf(self._ws, ("cols", layer), (B, T, self.kernel, ci))
+        for k in range(self.kernel):  # tap k reads x[t + k - pad], 0 off the ends
+            lo, hi = min(max(pad - k, 0), T), max(min(T + pad - k, T), 0)
+            cols[:, :lo, k] = 0.0
+            cols[:, lo:hi, k] = x[:, lo + k - pad:hi + k - pad]
+            cols[:, hi:, k] = 0.0
         cols = cols.reshape(B, T, self.kernel * ci)
-        z = cols @ W.reshape(W.shape[0], -1).T
+        z = np.matmul(cols, W.reshape(W.shape[0], -1).T,
+                      out=_buf(self._ws, "z", (B, T, W.shape[0])))
         z += self.params[f"conv{layer}_b"]
         return cols, z
 
@@ -170,13 +196,15 @@ class TcnModel:
         """Logits plus the caches backprop reads; keep=False keeps none, so a
         layer's im2col and activations are freed before the next layer's."""
         self._check(x)
+        ws = self._ws
         caches = []
         out = x
         for layer in range(self.depth):
             cols, z = self._conv(layer, out)
-            out, won = _pool2(np.maximum(z, 0.0))
+            out, won = _pool2(np.maximum(z, 0.0, out=_buf(ws, "relu", z.shape)), ws)
             if keep:  # where the gradient flows: the pair's winner, ReLU open
-                caches.append((cols, won & (z > 0.0)))
+                live = _buf(ws, ("live", layer), z.shape, bool)
+                caches.append((cols, np.bitwise_and(won, z > 0.0, out=live)))
             del cols, z, won
         B = out.shape[0]
         flat = out.reshape(B, self.flat_dim)
@@ -207,14 +235,18 @@ class TcnModel:
             B, T, _ = live.shape
             # a product with the bool mask, not np.where: on a random mask
             # np.where branches per element and took several times as long
-            dz = (live.reshape(B, T // 2, 2, O) * dout[:, :, None, :]).reshape(B, T, O)
+            dz = _buf(self._ws, "z", (B, T, O))  # z is dead after the forward
+            np.multiply(live.reshape(B, T // 2, 2, O), dout[:, :, None, :],
+                        out=dz.reshape(B, T // 2, 2, O))
             dW = dz.reshape(B * T, O).T @ cols.reshape(B * T, -1)
             grads[f"conv{layer}_W"] = dW.reshape(W.shape)
             grads[f"conv{layer}_b"] = dz.sum(axis=(0, 1))
             if layer == 0:
                 break  # nothing reads the input's gradient
-            dcols = (dz @ W.reshape(W.shape[0], -1)).reshape(B, T, self.kernel, ci)
-            dxpad = np.zeros((B, T + 2 * pad, ci))
+            # cols is dead once dW is taken
+            dcols = np.matmul(dz, W.reshape(O, -1), out=cols).reshape(B, T, self.kernel, ci)
+            dxpad = _buf(self._ws, "dxpad", (B, T + 2 * pad, ci))
+            dxpad[...] = 0.0
             for k in range(self.kernel):
                 dxpad[:, k:k + T, :] += dcols[:, :, k, :]
             dout = dxpad[:, pad:pad + T, :]
@@ -240,6 +272,7 @@ class LstmModel:
     """
 
     kind = "lstm"
+    _ws = None  # the workspace `train` lends
 
     def __init__(self, in_channels: int, n_classes: int = 4, hidden: int = 50,
                  layers: int = 2, seed: int = 0, per_step: bool = False):
@@ -280,12 +313,14 @@ class LstmModel:
         T, B, _ = inp.shape
         H = self.hidden
         WhT = np.ascontiguousarray(self.params[f"l{layer}_Wh"].T)
-        acts = (inp.reshape(T * B, -1) @ self.params[f"l{layer}_Wx"].T).reshape(T, B, 4 * H)
+        acts = _buf(self._ws, ("acts", layer), (T, B, 4 * H))
+        np.matmul(inp.reshape(T * B, -1), self.params[f"l{layer}_Wx"].T,
+                  out=acts.reshape(T * B, 4 * H))
         acts += self.params[f"l{layer}_b"]
         n = T if keep else 1
-        cs = np.empty((n, B, H))
-        tcs = np.empty((n, B, H))
-        hs = np.empty((T, B, H))
+        cs = _buf(self._ws, ("cs", layer), (n, B, H))
+        tcs = _buf(self._ws, ("tcs", layer), (n, B, H))
+        hs = _buf(self._ws, ("hs", layer), (T, B, H))
         a = np.empty((B, 4 * H))
         ig = np.empty((B, H))
         h = c = np.zeros((B, H))
@@ -319,7 +354,8 @@ class LstmModel:
         hs), as `_layer` returns them.
         """
         self._check(x)
-        inp = np.ascontiguousarray(x.transpose(1, 0, 2))
+        inp = _buf(self._ws, "inp", (x.shape[1], x.shape[0], x.shape[2]))
+        inp[...] = x.transpose(1, 0, 2)
         caches = []
         for layer in range(self.layers):
             acts, cs, tcs, hs = self._layer(layer, inp, keep)
@@ -383,7 +419,7 @@ class LstmModel:
             Wh = self.params[f"l{layer}_Wh"]
             dWx = np.zeros_like(Wx); dWh = np.zeros_like(Wh)
             db = np.zeros(4 * H)
-            dinp = np.empty_like(inp) if layer else None  # input's: never read
+            dinp = hs if layer else None  # hs[t]'s last read is at t + 1
             dh_next = np.zeros((B, H)) if dh_seq is not None else dh_last
             dc = np.zeros((B, H))  # dc_next on entry to a step
             for t in range(T - 1, -1, -1):
@@ -444,36 +480,45 @@ def train(model, data, cfg: TrainConfig = TrainConfig(), *, labels):
     y = np.asarray(labels, dtype=np.int64)
     if X.ndim != 3 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
         raise ValueError("data must be (N, T, F), non-empty and aligned with labels")
+    if y.min() < 0 or y.max() >= model.n_classes:
+        raise ValueError(f"label indices must lie in [0, {model.n_classes})")
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
     state = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in model.params.items()}
     step = 0
     curve = []
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        total = 0.0
-        for bstart in range(0, n, cfg.batch_size):
-            sel = perm[bstart:bstart + cfg.batch_size]
-            loss, grads = model.loss_and_grads(X[sel], y[sel])
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(epoch, bstart // cfg.batch_size, loss)
-            total += loss * len(sel)
-            step += 1
-            for name, g in grads.items():
-                p = model.params[name]
-                if cfg.optimizer == "sgd":
-                    p -= cfg.learning_rate * g
-                else:
-                    m, v = state[name]
-                    m *= 0.9
-                    m += 0.1 * g
-                    v *= 0.999
-                    v += 0.001 * g * g
-                    mhat = m / (1.0 - 0.9 ** step)
-                    vhat = v / (1.0 - 0.999 ** step)
-                    p -= cfg.learning_rate * mhat / (np.sqrt(vhat) + 1e-8)
-        curve.append(total / n)
-    return model, curve
+    model._ws = {}
+    try:
+        for epoch in range(cfg.epochs):
+            perm = rng.permutation(n)
+            total = 0.0
+            for bstart in range(0, n, cfg.batch_size):
+                sel = perm[bstart:bstart + cfg.batch_size]
+                # mode="clip": sel is in range, and "raise" would gather via a copy
+                xb = np.take(X, sel, axis=0, mode="clip",
+                             out=_buf(model._ws, "x", (len(sel),) + X.shape[1:]))
+                loss, grads = model.loss_and_grads(xb, y[sel])
+                if not np.isfinite(loss):
+                    raise NonFiniteLoss(epoch, bstart // cfg.batch_size, loss)
+                total += loss * len(sel)
+                step += 1
+                for name, g in grads.items():
+                    p = model.params[name]
+                    if cfg.optimizer == "sgd":
+                        p -= cfg.learning_rate * g
+                    else:
+                        m, v = state[name]
+                        m *= 0.9
+                        m += 0.1 * g
+                        v *= 0.999
+                        v += 0.001 * g * g
+                        mhat = m / (1.0 - 0.9 ** step)
+                        vhat = v / (1.0 - 0.999 ** step)
+                        p -= cfg.learning_rate * mhat / (np.sqrt(vhat) + 1e-8)
+            curve.append(total / n)
+        return model, curve
+    finally:
+        del model._ws
 
 
 def fit(X, y, labels, seed, params):

@@ -20,6 +20,12 @@ two sigmoids differ in the last bit for some inputs, so the logits must agree
 to 1e-12 of the batch's largest logit, the loss to a relative 1e-12 and the
 gradients up to rounding (`LSTM_GRAD_RTOL`).
 
+While `train` runs, `loss_and_grads` takes its large temporaries from a
+workspace that every step reuses. The same call on fresh arrays is the
+oracle: over a run of calls whose batch sizes shrink and grow, each loss and
+gradient must be bitwise equal to it, and none may change when a later call
+reuses the workspace.
+
 `forward`, and so `predict`, runs the inference forward on slices of
 `TrainConfig.batch_size` trials. Single-shot inference is the oracle: the
 logits must be bitwise equal while the batch fits one slice, and agree to
@@ -334,6 +340,69 @@ def test_tcn_grads_match_oracle_at_training_size():
     x = tcn_input(rng, model, 32, hold=8, dup=0.3, mute=True)
     assert pooling_ties(model, x) > 100
     assert_tcn_grads_match_oracle(model, x, rng.integers(0, 4, 32))
+
+
+def poison(ws):
+    """Overwrite every workspace buffer, so that a call reading what an
+    earlier call left behind (a zero edge not rewritten, say) goes wrong."""
+    for buf in ws.values():
+        buf[...] = True if buf.dtype == bool else np.nan
+
+
+def assert_workspace_matches_fresh_arrays(model, sizes, T, seed):
+    """Calls of `loss_and_grads` on batches of `sizes` trials in one
+    workspace, poisoned after each call, against the same calls without one."""
+    rng = np.random.default_rng(seed)
+    for value in model.params.values():  # biases start at constants
+        value += rng.standard_normal(value.shape) * 0.5
+    batches = [(rng.standard_normal((B, T, model.in_channels)) * 2.0,
+                rng.integers(0, 4, B)) for B in sizes]
+    returned, copies = [], []
+    model._ws = {}
+    try:
+        for x, y in batches:
+            loss, grads = model.loss_and_grads(x, y)
+            returned.append(grads)
+            copies.append((loss, {k: v.copy() for k, v in grads.items()}))
+            poison(model._ws)
+    finally:
+        del model._ws
+    for (x, y), grads, (loss, copied) in zip(batches, returned, copies):
+        want_loss, want = model.loss_and_grads(x, y)
+        assert loss == want_loss
+        assert sorted(grads) == sorted(want)
+        for name in want:
+            assert np.array_equal(copied[name], want[name]), name
+            assert np.array_equal(grads[name], want[name]), name  # not aliased
+
+
+batch_sizes = st.lists(st.integers(1, 40), min_size=3, max_size=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layers=st.integers(1, 3), hidden=st.integers(1, 16),
+       per_step=st.booleans(), T=st.integers(1, 16), F=st.integers(1, 6),
+       sizes=batch_sizes, seed=st.integers(0, 2**16))
+@example(layers=2, hidden=50, per_step=False, T=64, F=12,
+         sizes=[32, 16, 32, 5, 40], seed=0)
+def test_lstm_workspace_matches_fresh_arrays(layers, hidden, per_step, T, F,
+                                             sizes, seed):
+    model = LstmModel(F, hidden=hidden, layers=layers, per_step=per_step, seed=seed)
+    assert_workspace_matches_fresh_arrays(model, sizes, T, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(depth=st.integers(0, 4), kernel=st.sampled_from([1, 3, 5, 7]),
+       channels=st.integers(1, 8), steps=st.integers(1, 4), F=st.integers(1, 6),
+       sizes=batch_sizes, seed=st.integers(0, 2**16))
+@example(depth=4, kernel=5, channels=32, steps=4, F=12,
+         sizes=[32, 16, 32, 5, 40], seed=0)
+def test_tcn_workspace_matches_fresh_arrays(depth, kernel, channels, steps, F,
+                                            sizes, seed):
+    grid = steps * 2 ** depth
+    model = TcnModel(F, channels=channels, depth=depth, kernel=kernel,
+                     grid=grid, seed=seed)
+    assert_workspace_matches_fresh_arrays(model, sizes, grid, seed)
 
 
 @settings(max_examples=30, deadline=None)
