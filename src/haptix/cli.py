@@ -485,9 +485,16 @@ def _cmd_cross_domain(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    payload = json.loads(_require_file(args.in_path, "report file")
-                         .read_text(encoding="utf-8"))
-    report = ev.report_from_dict(payload)
+    path = _require_file(args.in_path, "report file")
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise DataError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+        report = ev.report_from_dict(payload)
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from None
     print(f"{report.classifier} {report.feature_set} "
           f"{report.mean_accuracy:.4f} ± {report.std_accuracy:.4f} "
           f"(pooled {report.pooled_accuracy:.4f}, k={report.k})")

@@ -1,5 +1,6 @@
 """Cross-validation harness, confusion/ablation/cross-domain reports, and the
-statistical tests (one-way ANOVA, Tukey HSD, Welch t-test).
+statistical tests (one-way ANOVA, Tukey HSD on `scipy.stats.studentized_range`,
+Welch t-test), which import scipy on first call; no command calls them.
 
 Trials reach the harness through read_features, one pass over a Dataset or
 over `core.iter_trials(path)` that keeps each trial's metadata and its grid
@@ -12,7 +13,6 @@ on training folds only; the held-out fold never touches them.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -471,75 +471,9 @@ def anova_oneway(groups) -> tuple[float, float]:
     return float(F), min(max(p, 0.0), 1.0)
 
 
-# scipy.special and the Gauss-Legendre tables below load on first use, so
-# that `import haptix` stays cheap for the commands that compute no p-value.
-@functools.cache
-def _gauss_legendre():
-    """160 nodes and weights on [-1, 1] for the outer integral and 96 scaled
-    to [-8, 8] for the inner one; read-only, since every call shares them."""
-    x, xw = np.polynomial.legendre.leggauss(160)
-    z, zw = np.polynomial.legendre.leggauss(96)
-    rules = (x, xw, 8.0 * z, 8.0 * zw)
-    for a in rules:
-        a.setflags(write=False)
-    return rules
-
-
-def _srange_outer_nodes(df: float):
-    """Outer nodes covering the mass of the scaled-chi density for this df.
-
-    The density of s = sqrt(chi2_df / df) concentrates around 1 with spread
-    ~ 1/sqrt(2 df), so the window [1 - 12/sqrt(2 df), 1 + 12/sqrt(2 df)]
-    (clipped to (0, 6]) captures it to far below the 1e-6 target.
-    """
-    half = 12.0 / np.sqrt(2.0 * df)
-    lo = max(0.0, 1.0 - half)
-    hi = min(6.0, 1.0 + half)
-    mid, span = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    x, xw, _, _ = _gauss_legendre()
-    return mid + span * x, span * xw
-
-
-def _phi(z):
-    return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-
-
-def _range_cdf(w, k: int):
-    """P(range of k iid standard normals <= w), vectorized over w."""
-    from scipy.special import ndtr
-    w = np.asarray(w, dtype=np.float64)
-    _, _, z, zw = _gauss_legendre()
-    z = z[None, :]
-    inner = _phi(z) * np.power(
-        np.clip(ndtr(z) - ndtr(z - w[:, None]), 0.0, 1.0), k - 1
-    )
-    return k * (inner @ zw)
-
-
-def studentized_range_cdf(q: float, k: int, df: float) -> float:
-    """P(Q <= q) for the studentized range with k groups and df error dof.
-
-    Double Gauss-Legendre quadrature: the outer integral is over the scaled
-    chi distribution of the pooled standard deviation, the inner one over
-    the range distribution of k standard normals.
-    """
-    if k < 2 or df < 1:
-        raise DegenerateGroups("studentized range needs k >= 2 and df >= 1")
-    if q <= 0.0:
-        return 0.0
-    from scipy.special import gammaln
-    s, sw = _srange_outer_nodes(df)
-    with np.errstate(divide="ignore"):
-        log_f = ((df / 2.0) * np.log(df) - gammaln(df / 2.0)
-                 - (df / 2.0 - 1.0) * np.log(2.0)
-                 + (df - 1.0) * np.log(s) - df * s * s / 2.0)
-    dens = np.exp(log_f)
-    cdf = float(np.sum(sw * dens * _range_cdf(q * s, k)))
-    return min(max(cdf, 0.0), 1.0)
-
-
 def tukey_hsd(groups, alpha: float = 0.05) -> list[dict]:
-    """All pairwise comparisons; p-values from the studentized range."""
+    """All pairwise comparisons (Tukey-Kramer for unequal sizes); p-values
+    from scipy.stats.studentized_range, which loads on the first call."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be in (0, 1)")
     arrays = _as_groups(groups)
@@ -548,14 +482,14 @@ def tukey_hsd(groups, alpha: float = 0.05) -> list[dict]:
         raise DegenerateGroups("no within-group degrees of freedom")
     msw = max(ssw / df2, _MSW_FLOOR)
     k = len(arrays)
+    from scipy.stats import studentized_range
     rows = []
     for i in range(k):
         for j in range(i + 1, k):
             diff = float(arrays[i].mean() - arrays[j].mean())
             se = np.sqrt(msw / 2.0 * (1.0 / arrays[i].size + 1.0 / arrays[j].size))
             q = abs(diff) / max(se, 1e-300)
-            p = 1.0 - studentized_range_cdf(q, k, df2)
-            p = min(max(p, 0.0), 1.0)
+            p = min(max(float(studentized_range.sf(q, k, df2)), 0.0), 1.0)
             rows.append({
                 "group_i": i, "group_j": j, "mean_diff": diff,
                 "q": float(q), "p": p, "significant": bool(p < alpha),

@@ -194,6 +194,8 @@ def baum_welch(trials: Sequence, K: int = 3, max_iter: int = 100,
         raise ValueError(f"sequences must have equal lengths, got lengths {lengths}")
     if K < 1:
         raise ValueError("K must be >= 1")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     X = np.stack(seqs)
 
     A, means, variances = _init_params(X, K, seed)

@@ -143,8 +143,10 @@ class TcnModel:
 
     def __init__(self, in_channels: int, n_classes: int = 4, channels: int = 32,
                  depth: int = 4, kernel: int = 5, grid: int = 64, seed: int = 0):
-        if kernel % 2 != 1:
-            raise ValueError("kernel width must be odd for same padding")
+        if channels < 1:
+            raise ValueError("channels must be >= 1")
+        if kernel < 1 or kernel % 2 != 1:
+            raise ValueError("kernel width must be odd and >= 1 for same padding")
         if depth < 0:
             raise ValueError("depth must be >= 0")
         if grid % (2 ** depth) != 0 or grid // (2 ** depth) < 1:

@@ -267,6 +267,20 @@ class TestEvaluate:
                      *flags, "--out", str(out)]) == code
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, reason", [
+        (["--clf", "tcn", "--channels", "0"], "channels must be >= 1"),
+        (["--clf", "tcn", "--kernel", "-1"], "kernel width must be odd and >= 1"),
+        (["--clf", "hmm", "--max-iter", "-3"], "max_iter must be >= 0"),
+    ], ids=["channels", "kernel", "max-iter"])
+    def test_bad_model_size_exits_1(self, flags, reason, data_file, tmp_path,
+                                    capsys):
+        out = tmp_path / "o"
+        assert main(["evaluate", "--data", str(data_file), "--features", "fz",
+                     "--epochs", "1", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {reason}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_finite_features_exit_1(self, data_file, tmp_path, capsys):
         # finite samples whose grid overflows: fz alternates +-1e308 after contact
         ds = load_trials(data_file)
@@ -686,6 +700,20 @@ class TestReport:
     def test_missing_report(self, tmp_path, capsys):
         rc = main(["report", "--in", str(tmp_path / "nope.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("text, reason", [
+        (lambda d: json.dumps({k: v for k, v in d.items() if k != "feature_set"}),
+         "missing key 'feature_set'"),
+        (lambda d: json.dumps(dict(d, confusion=[[1, 2]])),
+         "confusion matrix must be square"),
+        (lambda d: json.dumps(list(d)), "expected a JSON object, got list"),
+        (lambda d: "not json", "Expecting value: line 1 column 1 (char 0)"),
+    ], ids=["no-feature-set", "non-square-confusion", "list", "not-json"])
+    def test_malformed_report(self, text, reason, eval_dir, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(text(json.loads((eval_dir / "report.json").read_text())))
+        assert main(["report", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == f"data error: {path}: {reason}\n"
 
 
 def _console_command():

@@ -1,6 +1,6 @@
-"""`import haptix` stays cheap: scipy.special (about 0.3 s of imports) and the
-Gauss-Legendre tables of the studentized range load on first use, which only
-the statistics make. Training and running a network loads neither.
+"""`import haptix` stays cheap: scipy.special and scipy.stats (about 0.3 s
+and 0.6 s of imports) load on first use, which only the statistics make.
+No command, and no classifier's training or prediction, loads either.
 
 Each check runs in a fresh interpreter, since this test process has long
 imported both.
@@ -11,9 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import haptix
+import pytest
 
-LAZY = ("scipy.special", "numpy.polynomial")
+import haptix
+from haptix.cli import main
+
+LAZY = ("scipy.special", "scipy.stats")
 
 
 def loaded_after(code: str) -> dict[str, bool]:
@@ -48,8 +51,33 @@ def test_lstm_fit_and_predict_load_neither():
     assert loaded == {m: False for m in LAZY}
 
 
-def test_studentized_range_loads_both():
+@pytest.fixture(scope="module")
+def data_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cold-start")
+    for source in ("human", "robot"):
+        assert main(["synth", "--per-class", "3", "--seed", "1", "--source",
+                     source, "--out", str(tmp / f"{source}.jsonl")]) == 0
+    return tmp
+
+
+@pytest.mark.parametrize("clf", ["svm", "hmm", "tcn", "lstm"])
+def test_evaluate_and_cross_domain_load_neither(clf, data_files):
+    flags = ["--clf", clf, "--features", "fz", "--epochs", "2", "--max-iter", "2",
+             "--hidden", "4", "--channels", "4", "--depth", "1"]
+    human, robot = data_files / "human.jsonl", data_files / "robot.jsonl"
     loaded = loaded_after(
-        "from haptix.evaluation import studentized_range_cdf\n"
-        "studentized_range_cdf(3.0, 3, 10.0)")
+        "from haptix.cli import main\n"
+        f"assert main(['evaluate', '--data', {str(human)!r}, '--k', '3', *{flags!r},\n"
+        f"             '--out', {str(data_files / clf / 'ev')!r}]) == 0\n"
+        f"assert main(['cross-domain', '--train-data', {str(human)!r},\n"
+        f"             '--test-data', {str(robot)!r}, *{flags!r},\n"
+        f"             '--out', {str(data_files / clf / 'xd')!r}]) == 0")
+    assert loaded == {m: False for m in LAZY}
+
+
+def test_studentized_range_loads_both():
+    """tukey_hsd takes its p-values from scipy.stats.studentized_range."""
+    loaded = loaded_after(
+        "from haptix.evaluation import tukey_hsd\n"
+        "tukey_hsd([[1.0, 2.0, 3.0], [2.0, 3.0, 5.0], [0.0, 1.0, 1.5]])")
     assert loaded == {m: True for m in LAZY}
