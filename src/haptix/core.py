@@ -241,10 +241,22 @@ class Dataset:
         return self.trials == other.trials
 
 
+def _row_floats(row, lineno: int, name: str, widths: str) -> list[float]:
+    """The values of one stream row as floats. A value float() rejects is a
+    malformed row; an integer too large for a float is a non-finite value."""
+    try:
+        return [float(v) for v in row]
+    except OverflowError:
+        raise MalformedRecord(lineno, f"{name} row contains NaN/Inf") from None
+    except (TypeError, ValueError):
+        raise MalformedRecord(
+            lineno, f"{name} row must have {widths} numbers: {row!r}") from None
+
+
 def _parse_pose_row(row, lineno: int) -> list[float]:
     if len(row) == 8:
         # t, px, py, pz followed by a quaternion (w, x, y, z).
-        t, px, py, pz, qw, qx, qy, qz = (float(v) for v in row)
+        t, px, py, pz, qw, qx, qy, qz = _row_floats(row, lineno, "pose", "7 or 8")
         try:
             rx, ry, rz = quaternion_to_fixed_xyz(qw, qx, qy, qz)
         except ValueError as exc:
@@ -252,7 +264,7 @@ def _parse_pose_row(row, lineno: int) -> list[float]:
         # angles in (-pi, pi], which the wrap below leaves as they are
         vals = [t, px, py, pz, rx, ry, rz]
     elif len(row) == 7:
-        vals = [float(v) for v in row]
+        vals = _row_floats(row, lineno, "pose", "7 or 8")
     else:
         raise MalformedRecord(lineno, f"pose row has {len(row)} fields, expected 7 or 8")
     # checked before wrapping, which cannot round a NaN or an infinity
@@ -287,13 +299,15 @@ def _trial_from_record(rec: dict, lineno: int) -> Trial:
         raise MalformedRecord(lineno, f"unknown source {rec['source']!r}") from None
 
     def rows_to_array(rows, width, name):
+        if not isinstance(rows, list):
+            raise MalformedRecord(lineno, f"{name} must be a list of rows")
         out = []
         for row in rows:
             if not isinstance(row, (list, tuple)) or len(row) != width:
                 raise MalformedRecord(
                     lineno, f"{name} row must have {width} numbers: {row!r}"
                 )
-            vals = [float(v) for v in row]
+            vals = _row_floats(row, lineno, name, str(width))
             if not all(math.isfinite(v) for v in vals):
                 raise MalformedRecord(lineno, f"{name} row contains NaN/Inf")
             out.append(vals)

@@ -8,7 +8,10 @@ block and drops its streams; fold assignment and labels read the metadata,
 the classifiers the (N, G, F) feature tensor.
 
 Fold hygiene: normalization statistics and classifier parameters are fitted
-on training folds only; the held-out fold never touches them.
+on training folds only; the held-out fold never touches them. The held-out
+tensor is normalized after the fit, for the prediction alone, so an error in
+normalizing it (a feature whose z-score overflows) comes after any error of
+the fit.
 """
 
 from __future__ import annotations
@@ -125,11 +128,16 @@ class EvalReport:
             raise ValueError("confusion matrix must be square")
         if counts.shape[0] != len(self.labels):
             raise ValueError("labels do not match confusion size")
+        per_fold = tuple(float(a) for a in self.per_fold)
+        if not per_fold:
+            raise ValueError("per_fold holds no fold accuracy")
         counts.setflags(write=False)
         object.__setattr__(self, "confusion", counts)
-        object.__setattr__(self, "per_fold", tuple(float(a) for a in self.per_fold))
+        object.__setattr__(self, "per_fold", per_fold)
         object.__setattr__(self, "labels", tuple(self.labels))
         if self.item_confusion is not None:
+            if self.item_labels is None:
+                raise ValueError("item_confusion comes without item_labels")
             ic = np.array(self.item_confusion, dtype=np.int64)
             ic.setflags(write=False)
             object.__setattr__(self, "item_confusion", ic)
@@ -250,9 +258,12 @@ def fit_model(X, y, labels, seed, params):
     return FAMILIES[params["kind"]].fit(X, y, labels, seed, params)
 
 
-def _fit_predict(X_train, y, labels, X_test, seed, params):
+def _fit_predict(X_train, y, labels, X_test, stats, seed, params):
+    """Predictions for X_test of a model fitted on the normalized X_train.
+    X_test is normalized with stats only once the fit returns, so training
+    never holds that copy."""
     model = fit_model(X_train, y, labels, seed, params)
-    return FAMILIES[params["kind"]].predict(model, X_test)
+    return FAMILIES[params["kind"]].predict(model, stats.apply(X_test))
 
 
 class TrialMeta(NamedTuple):
@@ -344,8 +355,8 @@ def _confusion(X_train, y_train, X_test, y_test, labels, seed, params):
     """Tally of a model fitted on one tensor and scored on another. The
     normalization statistics come from X_train alone."""
     stats = fit_norm(X_train, params["channel_names"])
-    pred = _fit_predict(stats.apply(X_train), y_train, labels,
-                        stats.apply(X_test), seed, params)
+    pred = _fit_predict(stats.apply(X_train), y_train, labels, X_test, stats,
+                        seed, params)
     if len(pred) != len(y_test):
         raise ValueError("trainer returned wrong number of predictions")
     return _tally(y_test, pred, len(labels))

@@ -139,8 +139,10 @@ class NormStats:
                 f"features of shape {X.shape} do not match normalization "
                 f"channels {self.channel_names}"
             )
+        # in place: one result-sized allocation, the bits of (X - mean) / std
         with np.errstate(over="ignore", invalid="ignore"):
-            out = (X - self.mean) / self.std
+            out = X - self.mean
+            out /= self.std
         _check_finite(out)
         return out
 

@@ -116,6 +116,35 @@ class TestIngest:
         assert capsys.readouterr().err == (
             "data error: line 2: pose row contains NaN/Inf\n")
 
+    @pytest.mark.parametrize("command", ["ingest", "evaluate"])
+    @pytest.mark.parametrize("stream, row, value, reason", [
+        ("wrench", 3, None, "wrench row must have 7 numbers: {row!r}"),
+        ("pose", 3, None, "pose row must have 7 or 8 numbers: {row!r}"),
+        ("wrench", 3, "x", "wrench row must have 7 numbers: {row!r}"),
+        ("wrench", 3, 10**400, "wrench row contains NaN/Inf"),
+        ("pose", 3, 10**400, "pose row contains NaN/Inf"),
+        ("wrench", None, 5, "wrench must be a list of rows"),
+    ], ids=["wrench-null", "pose-null", "string", "wrench-huge-int",
+            "pose-huge-int", "wrench-not-list"])
+    def test_bad_cell_is_data_error_with_line(self, data_file, tmp_path, capsys,
+                                              command, stream, row, value,
+                                              reason):
+        lines = data_file.read_text().splitlines()
+        rec = json.loads(lines[1])
+        if row is None:
+            rec[stream] = value
+        else:
+            rec[stream][row][2] = value
+        lines[1] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        extra = ["--clf", "svm"] if command == "evaluate" else []
+        rc = main([command, "--data", str(bad), "--out", str(tmp_path / "o")]
+                  + extra)
+        assert rc == 2
+        shown = reason.format(row=None if row is None else rec[stream][row])
+        assert capsys.readouterr().err == f"data error: line 2: {shown}\n"
+
 
 class TestTrain:
     def test_svm_artifacts(self, data_file, tmp_path):
@@ -708,7 +737,11 @@ class TestReport:
          "confusion matrix must be square"),
         (lambda d: json.dumps(list(d)), "expected a JSON object, got list"),
         (lambda d: "not json", "Expecting value: line 1 column 1 (char 0)"),
-    ], ids=["no-feature-set", "non-square-confusion", "list", "not-json"])
+        (lambda d: json.dumps(dict(d, per_fold=[])), "per_fold holds no fold accuracy"),
+        (lambda d: json.dumps(dict(d, item_confusion=[[1]])),
+         "item_confusion comes without item_labels"),
+    ], ids=["no-feature-set", "non-square-confusion", "list", "not-json",
+            "empty-per-fold", "item-confusion-without-labels"])
     def test_malformed_report(self, text, reason, eval_dir, tmp_path, capsys):
         path = tmp_path / "report.json"
         path.write_text(text(json.loads((eval_dir / "report.json").read_text())))

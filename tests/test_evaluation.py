@@ -14,7 +14,8 @@ from haptix.core import (CLASS_ORDER, ITEM_CLASSES, ITEM_ORDER, ComplianceClass,
                          iter_trials, load_trials, normalize_item_name,
                          save_trials)
 from haptix import evaluation
-from haptix.errors import DataError, DegenerateGroups, NoContact, TooFewTrials
+from haptix.errors import (DataError, DegenerateGroups, MissingClass, NoContact,
+                           TooFewTrials)
 from haptix.evaluation import (
     _MSW_FLOOR,
     ClassifierSpec,
@@ -44,15 +45,15 @@ CLASS_LABELS = tuple(c.label for c in CLASS_ORDER)
 
 
 class RecordingTrainer:
-    """Stand-in for evaluation._fit_predict: remembers the training inputs
-    per fold seed."""
+    """Stand-in for evaluation._fit_predict: remembers the normalized
+    training inputs per fold seed."""
 
     def __init__(self, prediction=0):
         self.prediction = prediction
         self.train_hashes = {}
         self.sizes = {}
 
-    def __call__(self, X_train, y, labels, X_test, seed, params):
+    def __call__(self, X_train, y, labels, X_test, stats, seed, params):
         h = hashlib.sha256(np.ascontiguousarray(X_train).tobytes())
         self.train_hashes[seed] = h.hexdigest()
         self.sizes[seed] = (len(X_train), len(X_test))
@@ -274,7 +275,7 @@ class TestRunCv:
     def test_trainer_errors_name_the_fold(self, small_ds, stub):
         split = kfold_split(small_ds, 3, seed=0)
 
-        def broken(train_fms, y, n_labels, test_fms, seed, params):
+        def broken(train_fms, y, n_labels, test_fms, stats, seed, params):
             raise NoContact("synthetic failure")
 
         stub(broken)
@@ -284,7 +285,7 @@ class TestRunCv:
     def test_wrong_prediction_count_rejected(self, small_ds, stub):
         split = kfold_split(small_ds, 3, seed=0)
 
-        def lazy(train_fms, y, n_labels, test_fms, seed, params):
+        def lazy(train_fms, y, n_labels, test_fms, stats, seed, params):
             return [0]
 
         stub(lazy)
@@ -333,7 +334,7 @@ class TestRunCv:
         split = kfold_split(small_ds, 3, seed=5)
         preds = {}
 
-        def random_guess(X_train, y, labels, X_test, fold_seed, params):
+        def random_guess(X_train, y, labels, X_test, stats, fold_seed, params):
             rng = np.random.default_rng(fold_seed)
             preds[fold_seed] = [int(p) for p in
                                 rng.integers(0, len(labels), len(X_test))]
@@ -492,6 +493,55 @@ class TestCrossDomain:
         assert report.k == 1
         assert len(report.per_fold) == 1
         assert report.confusion.sum() == len(test_ds)
+
+    def test_training_never_holds_the_normalized_test_tensor(self, monkeypatch):
+        """When the family's fit is entered, the memory traced since
+        cross_domain_eval began (the normalized training tensor, 0.35 MiB)
+        stays below one (400, 64, 12) test tensor: the held-out tensor is
+        normalized only after the fit. Normalizing it before the fit put
+        its 2.34 MiB copy on top."""
+        rng = np.random.default_rng(3)
+        X_train, X_test = rng.normal(size=(60, 64, 12)), rng.normal(size=(400, 64, 12))
+        family = evaluation.FAMILIES["svm"]
+        real_fit, at_fit = family.fit, []
+
+        def fit(*args):
+            at_fit.append(tracemalloc.get_traced_memory()[0] - start)
+            return real_fit(*args)
+
+        monkeypatch.setattr(family, "fit", fit)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report = cross_domain_eval(X_train, np.arange(60) % 4, X_test,
+                                       np.arange(400) % 4,
+                                       ClassifierSpec("svm", {"epochs": 2}),
+                                       FeatureSet.parse("all"))
+        finally:
+            tracemalloc.stop()
+        assert report.confusion.sum() == 400
+        assert len(at_fit) == 1 and at_fit[0] < X_test.nbytes, (at_fit, X_test.nbytes)
+
+    def test_fit_error_comes_before_held_out_normalization_error(self, monkeypatch):
+        """A test feature of 1e306 overflows its z-score under training
+        statistics with a spread of 1e-3. That error comes after the fit,
+        so a training set that lacks a class reports MissingClass first."""
+        rng = np.random.default_rng(5)
+        X_train = rng.normal(scale=1e-3, size=(8, 64, 1))
+        X_test = rng.normal(scale=1e-3, size=(4, 64, 1))
+        X_test[2, 10, 0] = 1e306
+        fs, spec = FeatureSet.parse("fz"), ClassifierSpec("svm", {"epochs": 1})
+        family = evaluation.FAMILIES["svm"]
+        real_fit, fits = family.fit, []
+        monkeypatch.setattr(family, "fit",
+                            lambda *args: fits.append(1) or real_fit(*args))
+        with pytest.raises(ValueError, match="non-finite"):
+            cross_domain_eval(X_train, np.arange(8) % 4, X_test, np.arange(4),
+                              spec, fs)
+        assert fits == [1]
+        with pytest.raises(MissingClass, match="no training data for class soft"):
+            cross_domain_eval(X_train, np.arange(8) % 3, X_test, np.arange(4),
+                              spec, fs)
 
     def test_same_domain_svm_generalizes(self, small_ds):
         test_ds = generate(GenConfig(trials_per_class=6, seed=101))

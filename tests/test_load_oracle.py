@@ -2,8 +2,10 @@
 
 Two oracles:
 - the per-value conversion that `core._trial_from_record` ran on every
-  record before it was vectorized. On any record, both must return equal
-  trials or raise the same exception type with the same message;
+  record before it was vectorized, with a value that float() rejects or
+  overflows on reported as a MalformedRecord of its row. On any record,
+  both must return equal trials or raise the same exception type with the
+  same message;
 - the json.loads reader and json.dumps writer that `load_trials` and
   `save_trials` used before orjson. Files must round-trip bitwise, each reader
   must read the other's files to equal trials, and a rejected line must get
@@ -47,13 +49,22 @@ def oracle_trial_from_record(rec, lineno):
         raise MalformedRecord(lineno, f"unknown source {rec['source']!r}") from None
 
     def rows_to_array(rows, width, name):
+        if not isinstance(rows, list):
+            raise MalformedRecord(lineno, f"{name} must be a list of rows")
         out = []
         for row in rows:
             if not isinstance(row, (list, tuple)) or len(row) != width:
                 raise MalformedRecord(
                     lineno, f"{name} row must have {width} numbers: {row!r}"
                 )
-            vals = [float(v) for v in row]
+            try:
+                vals = [float(v) for v in row]
+            except OverflowError:
+                raise MalformedRecord(lineno, f"{name} row contains NaN/Inf") from None
+            except (TypeError, ValueError):
+                raise MalformedRecord(
+                    lineno, f"{name} row must have {width} numbers: {row!r}"
+                ) from None
             if not all(math.isfinite(v) for v in vals):
                 raise MalformedRecord(lineno, f"{name} row contains NaN/Inf")
             out.append(vals)
@@ -99,7 +110,8 @@ ANGLES = st.sampled_from([math.pi, -math.pi, 3 * math.pi, -3 * math.pi,
 NUMBERS = (st.floats(-50.0, 50.0, allow_nan=False) | st.integers(-5, 5) | ANGLES
            | st.integers(2**53 - 3, 2**53 + 3))
 ODD_CELLS = (st.sampled_from([True, False, None, "nan", "inf", "1e400", "x", "",
-                              2**70, 1e308, [1.0, 2.0], [[0.5]], {"v": 1}])
+                              2**70, 10**400, 1e308, [1.0, 2.0], [[0.5]],
+                              {"v": 1}])
              | st.floats(-50.0, 50.0, allow_nan=False).map(repr))
 
 
@@ -278,7 +290,7 @@ GOOD_RECORD = {"id": "t", "subject": "s1", "session": 1, "food_item": "carrot",
 BAD_TOKENS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
               "1.7976931348623159e308", "2e308"]
 BIG_INTS = [2**64, 2**64 - 1, -(2**63) - 1, 2**70,
-            123456789012345678901234567890]
+            123456789012345678901234567890, 10**400, -(10**400)]
 
 
 @st.composite
