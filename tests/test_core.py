@@ -19,8 +19,8 @@ from haptix.core import (
     load_trials,
     normalize_item_name,
     quaternion_to_fixed_xyz,
+    _wrap_angles,
     save_trials,
-    wrap_angle,
 )
 from haptix.errors import (
     DegenerateStream,
@@ -70,15 +70,16 @@ class TestItemTable:
 
 class TestAngles:
     def test_wrap_half_open_interval(self):
-        assert wrap_angle(math.pi) == math.pi
-        assert wrap_angle(-math.pi) == pytest.approx(math.pi)
-        assert wrap_angle(3 * math.pi) == pytest.approx(math.pi)
-        assert wrap_angle(0.0) == 0.0
-        assert wrap_angle(-0.1) == -0.1
+        got = _wrap_angles(np.array([math.pi, -math.pi, 3 * math.pi, 0.0, -0.1]))
+        assert got[0] == math.pi
+        assert got[1] == pytest.approx(math.pi)
+        assert got[2] == pytest.approx(math.pi)
+        assert got[3] == 0.0
+        assert got[4] == -0.1
 
     def test_wrap_idempotent_on_range(self):
-        for a in np.linspace(-math.pi + 1e-9, math.pi, 50):
-            assert wrap_angle(a) == a
+        a = np.linspace(-math.pi + 1e-9, math.pi, 50)
+        np.testing.assert_array_equal(_wrap_angles(a), a)
 
     def test_quaternion_identity(self):
         assert quaternion_to_fixed_xyz(1.0, 0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)

@@ -3,9 +3,11 @@
 Two oracles:
 - the per-value conversion that `core._trial_from_record` ran on every
   record before it was vectorized, with a value that float() rejects or
-  overflows on reported as a MalformedRecord of its row. On any record,
-  both must return equal trials or raise the same exception type with the
-  same message;
+  overflows on reported as a MalformedRecord of its row, and each pose angle
+  wrapped on its own by the scalar `wrap_angle`. The oracle keeps its own
+  copies of the row parsing and of the wrap, so it shares no code with the
+  loader beyond `quaternion_to_fixed_xyz`. On any record, both must return
+  equal trials or raise the same exception type with the same message;
 - the json.loads reader and json.dumps writer that `load_trials` and
   `save_trials` used before orjson. Files must round-trip bitwise, each reader
   must read the other's files to equal trials, and a rejected line must get
@@ -26,15 +28,53 @@ from haptix.core import (
     Dataset,
     Source,
     Trial,
-    _parse_pose_row,
     _trial_from_record,
     _wrap_angles,
     item_class,
     load_trials,
+    quaternion_to_fixed_xyz,
     save_trials,
-    wrap_angle,
 )
 from haptix.errors import DegenerateStream, EmptyDataset, MalformedRecord
+
+
+def wrap_angle(a: float) -> float:
+    """Wrap an angle into (-pi, pi]. Values already in range pass through."""
+    if -math.pi < a <= math.pi:
+        return a
+    a = a - 2.0 * math.pi * round(a / (2.0 * math.pi))
+    if a <= -math.pi:
+        a += 2.0 * math.pi
+    return a
+
+
+def row_floats(row, lineno, name, widths):
+    try:
+        return [float(v) for v in row]
+    except OverflowError:
+        raise MalformedRecord(lineno, f"{name} row contains NaN/Inf") from None
+    except (TypeError, ValueError):
+        raise MalformedRecord(
+            lineno, f"{name} row must have {widths} numbers: {row!r}") from None
+
+
+def parse_pose_row(row, lineno):
+    if len(row) == 8:
+        # t, px, py, pz followed by a quaternion (w, x, y, z).
+        t, px, py, pz, qw, qx, qy, qz = row_floats(row, lineno, "pose", "7 or 8")
+        try:
+            rx, ry, rz = quaternion_to_fixed_xyz(qw, qx, qy, qz)
+        except ValueError as exc:
+            raise MalformedRecord(lineno, str(exc)) from None
+        vals = [t, px, py, pz, rx, ry, rz]
+    elif len(row) == 7:
+        vals = row_floats(row, lineno, "pose", "7 or 8")
+    else:
+        raise MalformedRecord(lineno, f"pose row has {len(row)} fields, expected 7 or 8")
+    if not all(math.isfinite(v) for v in vals):
+        raise MalformedRecord(lineno, "pose row contains NaN/Inf")
+    vals[4:] = [wrap_angle(a) for a in vals[4:]]
+    return vals
 
 
 def oracle_trial_from_record(rec, lineno):
@@ -78,7 +118,7 @@ def oracle_trial_from_record(rec, lineno):
     for row in pose_rows:
         if not isinstance(row, (list, tuple)):
             raise MalformedRecord(lineno, f"pose row must be a list: {row!r}")
-        vals = _parse_pose_row(row, lineno)
+        vals = parse_pose_row(row, lineno)
         if not all(math.isfinite(v) for v in vals):
             raise MalformedRecord(lineno, "pose row contains NaN/Inf")
         pose.append(vals)
@@ -151,12 +191,18 @@ def streams(draw, width):
     return rows
 
 
+QUATERNIONS = [[0.9, 0.1, -0.2, 0.3], [-0.0, 1.0, -0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+               [0.0, 0.0, 0.0, 0.0]]
+
+
 @st.composite
 def records(draw):
     pose = draw(streams(7))
     if draw(st.booleans(), label="quaternion") and isinstance(pose, list):
-        pose = [row[:4] + [0.9, 0.1, -0.2, 0.3] if isinstance(row, list) else row
-                for row in pose]
+        # the second quaternion turns by pi about x: atan2(-0.0, -1) gives -pi,
+        # which the wrap moves to pi; the last has zero norm
+        pose = [row[:4] + draw(st.sampled_from(QUATERNIONS))
+                if isinstance(row, list) else row for row in pose]
     rec = {"id": "t", "subject": "s1", "session": 1, "food_item": "carrot",
            "source": "robot", "wrench": draw(streams(7)), "pose": pose}
     return json.loads(json.dumps(rec))
