@@ -364,7 +364,8 @@ def _cmd_train(args) -> int:
     model = ev.fit_model(stats.apply(X), ev.label_indices(features.trials),
                          ev.CLASS_LABELS, cfg["seed"], params)
     out = _outdir(args.out)
-    ev.FAMILIES[args.clf].save_model(model, out / "model.json")
+    (out / "model.json").write_text(
+        json.dumps(ev.FAMILIES[args.clf].to_dict(model)) + "\n", encoding="utf-8")
     curve = getattr(model, "loss_curve", None)
     if curve is not None:
         nn_mod.save_loss_curve(curve, out / "loss_curve.csv")
@@ -379,7 +380,7 @@ def _cmd_train(args) -> int:
 
 def _evaluate_with_cfg(cfg: dict) -> int:
     sweep = cfg["states_sweep"]
-    if sweep:
+    if sweep is not None:
         if cfg["clf"] != "hmm":
             raise UsageError("--states-sweep only applies to --clf hmm")
         try:
@@ -397,16 +398,16 @@ def _evaluate_with_cfg(cfg: dict) -> int:
     def cv(spec: ev.ClassifierSpec) -> ev.EvalReport:
         return ev.run_cv(X, y, split, spec, fs, per_item=cfg["per_item"])
 
-    if sweep:
-        lines = ["states,mean_accuracy,std_accuracy"]
+    if sweep is not None:
+        rows = []
         for states in sweep:
             report = cv(ev.ClassifierSpec("hmm", dict(params, states=states)))
-            lines.append(f"{states},{repr(report.mean_accuracy)},{repr(report.std_accuracy)}")
+            rows.append({"states": states, "mean_accuracy": report.mean_accuracy,
+                         "std_accuracy": report.std_accuracy})
             print(f"hmm[K={states}] {report.feature_set} "
                   f"{report.mean_accuracy:.4f} ± {report.std_accuracy:.4f}")
         out = _outdir(cfg["out"])
-        (out / "states_sweep.csv").write_text("\n".join(lines) + "\n",
-                                              encoding="utf-8")
+        ev.write_sweep_csv("states", rows, out / "states_sweep.csv")
         _write_run_json(cfg, out / "run.json")
         return 0
     return _write_report(cv(ev.ClassifierSpec(cfg["clf"], params)), cfg,
@@ -460,7 +461,7 @@ def _cmd_ablate(args) -> int:
     spec = ev.ClassifierSpec(args.clf, _params_from(cfg))
     rows = ev.ablate_features(features, spec, split)
     out = _outdir(args.out)
-    ev.write_ablation_csv(rows, out / "ablation.csv")
+    ev.write_sweep_csv("feature_set", rows, out / "ablation.csv")
     run = dict(cfg, command="ablate", data=str(data), clf=args.clf, out=str(args.out))
     _write_run_json(run, out / "run.json")
     for row in rows:

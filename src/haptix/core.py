@@ -127,26 +127,16 @@ def item_class(name: str) -> ComplianceClass:
     return ITEM_CLASSES[key]
 
 
-def wrap_angle(a: float) -> float:
-    """Wrap an angle into (-pi, pi]. Values already in range pass through."""
-    if -math.pi < a <= math.pi:
-        return a
-    a = a - 2.0 * math.pi * round(a / (2.0 * math.pi))
-    if a <= -math.pi:
-        a += 2.0 * math.pi
-    return a
-
-
 def _wrap_angles(a: np.ndarray) -> np.ndarray:
-    """wrap_angle elementwise over a finite array, in the same operation order
-    (np.round rounds half to even, as round does)."""
+    """A finite array of angles wrapped into (-pi, pi]; values already in
+    range pass through (np.round rounds half to even)."""
     w = a - 2.0 * math.pi * np.round(a / (2.0 * math.pi))
     w = np.where(w <= -math.pi, w + 2.0 * math.pi, w)
     return np.where((-math.pi < a) & (a <= math.pi), a, w)
 
 
 def quaternion_to_fixed_xyz(qw: float, qx: float, qy: float, qz: float):
-    """Convert a unit quaternion to fixed-axis XYZ rotation angles."""
+    """A unit quaternion as fixed-axis XYZ rotation angles in [-pi, pi]."""
     n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
     if n == 0.0 or not math.isfinite(n):
         raise ValueError("quaternion has zero or non-finite norm")
@@ -155,7 +145,7 @@ def quaternion_to_fixed_xyz(qw: float, qx: float, qy: float, qz: float):
     s = max(-1.0, min(1.0, 2.0 * (qw * qy - qz * qx)))
     ry = math.asin(s)
     rz = math.atan2(2.0 * (qw * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz))
-    return wrap_angle(rx), wrap_angle(ry), wrap_angle(rz)
+    return rx, ry, rz
 
 
 def _validate_stream(arr: np.ndarray, name: str) -> np.ndarray:
@@ -241,42 +231,43 @@ class Dataset:
         return self.trials == other.trials
 
 
-def _row_floats(row, lineno: int, name: str, widths: str) -> list[float]:
-    """The values of one stream row as floats. A value float() rejects is a
-    malformed row; an integer too large for a float is a non-finite value."""
+def _row_values(row, lineno: int, name: str) -> list[float]:
+    """One row of the stream `name` ("wrench" or "pose") as 7 finite floats,
+    angles not wrapped. A pose row may give its rotation as a quaternion
+    (w, x, y, z) after t, px, py, pz. A value float() rejects is a malformed
+    row; an integer too large for a float is a non-finite value."""
+    if name == "wrench":
+        widths = "7"
+        if not isinstance(row, (list, tuple)) or len(row) != 7:
+            raise MalformedRecord(lineno, f"wrench row must have 7 numbers: {row!r}")
+    else:
+        widths = "7 or 8"
+        if not isinstance(row, (list, tuple)):
+            raise MalformedRecord(lineno, f"pose row must be a list: {row!r}")
+        if len(row) not in (7, 8):
+            raise MalformedRecord(
+                lineno, f"pose row has {len(row)} fields, expected 7 or 8")
     try:
-        return [float(v) for v in row]
+        vals = [float(v) for v in row]
     except OverflowError:
         raise MalformedRecord(lineno, f"{name} row contains NaN/Inf") from None
     except (TypeError, ValueError):
         raise MalformedRecord(
             lineno, f"{name} row must have {widths} numbers: {row!r}") from None
-
-
-def _parse_pose_row(row, lineno: int) -> list[float]:
-    if len(row) == 8:
-        # t, px, py, pz followed by a quaternion (w, x, y, z).
-        t, px, py, pz, qw, qx, qy, qz = _row_floats(row, lineno, "pose", "7 or 8")
+    if len(vals) == 8:
         try:
-            rx, ry, rz = quaternion_to_fixed_xyz(qw, qx, qy, qz)
+            vals[4:] = quaternion_to_fixed_xyz(*vals[4:])
         except ValueError as exc:
             raise MalformedRecord(lineno, str(exc)) from None
-        # angles in (-pi, pi], which the wrap below leaves as they are
-        vals = [t, px, py, pz, rx, ry, rz]
-    elif len(row) == 7:
-        vals = _row_floats(row, lineno, "pose", "7 or 8")
-    else:
-        raise MalformedRecord(lineno, f"pose row has {len(row)} fields, expected 7 or 8")
-    # checked before wrapping, which cannot round a NaN or an infinity
+    # checked before the wrap, which cannot round a NaN or an infinity
     if not all(math.isfinite(v) for v in vals):
-        raise MalformedRecord(lineno, "pose row contains NaN/Inf")
-    vals[4:] = [wrap_angle(a) for a in vals[4:]]
+        raise MalformedRecord(lineno, f"{name} row contains NaN/Inf")
     return vals
 
 
 def _stream_array(rows, width: int):
     """rows as one (n, width) float64 array when every value is a finite int
-    or float; None otherwise, and the row loop then converts or reports."""
+    or float; None otherwise, and _row_values converts or reports each row."""
     try:
         arr = np.asarray(rows)
     except (TypeError, ValueError, OverflowError):
@@ -285,6 +276,18 @@ def _stream_array(rows, width: int):
         return None
     arr = arr.astype(np.float64, copy=False)
     return arr if np.isfinite(arr).all() else None
+
+
+def _stream(rows, lineno: int, name: str) -> np.ndarray:
+    """The stream `name` of a record, angles not wrapped: one conversion by
+    _stream_array, or one _row_values per row when that declines."""
+    if not isinstance(rows, list):
+        raise MalformedRecord(lineno, f"{name} must be a list of rows")
+    arr = _stream_array(rows, 7)
+    if arr is None:
+        arr = np.asarray([_row_values(row, lineno, name) for row in rows],
+                         dtype=np.float64)
+    return arr
 
 
 def _trial_from_record(rec: dict, lineno: int) -> Trial:
@@ -298,37 +301,10 @@ def _trial_from_record(rec: dict, lineno: int) -> Trial:
     except ValueError:
         raise MalformedRecord(lineno, f"unknown source {rec['source']!r}") from None
 
-    def rows_to_array(rows, width, name):
-        if not isinstance(rows, list):
-            raise MalformedRecord(lineno, f"{name} must be a list of rows")
-        out = []
-        for row in rows:
-            if not isinstance(row, (list, tuple)) or len(row) != width:
-                raise MalformedRecord(
-                    lineno, f"{name} row must have {width} numbers: {row!r}"
-                )
-            vals = _row_floats(row, lineno, name, str(width))
-            if not all(math.isfinite(v) for v in vals):
-                raise MalformedRecord(lineno, f"{name} row contains NaN/Inf")
-            out.append(vals)
-        return np.asarray(out, dtype=np.float64)
-
-    wrench = _stream_array(rec["wrench"], 7)
-    if wrench is None:
-        wrench = rows_to_array(rec["wrench"], 7, "wrench")
-    pose_rows = rec["pose"]
-    if not isinstance(pose_rows, list):
-        raise MalformedRecord(lineno, "pose must be a list of rows")
-    pose = _stream_array(pose_rows, 7)
-    if pose is not None:
-        pose[:, 4:] = _wrap_angles(pose[:, 4:])
-    else:
-        pose = []
-        for row in pose_rows:
-            if not isinstance(row, (list, tuple)):
-                raise MalformedRecord(lineno, f"pose row must be a list: {row!r}")
-            pose.append(_parse_pose_row(row, lineno))
-        pose = np.asarray(pose, dtype=np.float64)
+    wrench = _stream(rec["wrench"], lineno, "wrench")
+    pose = _stream(rec["pose"], lineno, "pose")
+    # "...": a stream without rows is 1-D until Trial rejects it
+    pose[..., 4:] = _wrap_angles(pose[..., 4:])
     try:
         return Trial(
             id=str(rec["id"]),

@@ -16,7 +16,6 @@ the fit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -213,12 +212,12 @@ def write_folds_csv(report: EvalReport, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_ablation_csv(rows: Sequence[dict], path) -> None:
-    lines = ["feature_set,mean_accuracy,std_accuracy"]
-    for row in rows:
-        lines.append(
-            f"{row['feature_set']},{repr(row['mean_accuracy'])},{repr(row['std_accuracy'])}"
-        )
+def write_sweep_csv(key: str, rows: Sequence[dict], path) -> None:
+    """The rows of ablate or of evaluate --states-sweep, one line each: the
+    row's `key` value, mean_accuracy and std_accuracy."""
+    lines = [f"{key},mean_accuracy,std_accuracy"]
+    lines += [f"{row[key]},{repr(row['mean_accuracy'])},{repr(row['std_accuracy'])}"
+              for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -237,7 +236,7 @@ class ClassifierSpec:
 
 
 # kind -> family module. Each has fit(X, y, labels, seed, params) -> model,
-# predict(model, X) -> label indices, to_dict/from_dict and save_model.
+# predict(model, X) -> label indices, and to_dict/from_dict (model.json).
 FAMILIES = {"hmm": hmm_mod, "svm": svm_mod, "tcn": nn_mod, "lstm": nn_mod}
 
 

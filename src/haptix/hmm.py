@@ -10,9 +10,7 @@ maximizes the observation log-likelihood.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -196,6 +194,8 @@ def baum_welch(trials: Sequence, K: int = 3, max_iter: int = 100,
         raise ValueError("K must be >= 1")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
+    if not np.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     X = np.stack(seqs)
 
     A, means, variances = _init_params(X, K, seed)
@@ -317,7 +317,3 @@ def from_dict(d: dict) -> dict:
         raise ValueError("the per-label models must share K and F")
     return models
 
-
-def save_model(model: dict, path) -> None:
-    Path(path).write_text(json.dumps(to_dict(model), indent=2) + "\n",
-                          encoding="utf-8")

@@ -25,7 +25,6 @@ inference slice, `predict`, `loss`, a direct `loss_and_grads`) allocates anew.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,6 +84,8 @@ class TrainConfig:
     optimizer: str = "adam"  # "adam" or "sgd"
 
     def __post_init__(self):
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning rate must be finite, got {self.learning_rate}")
         if self.learning_rate < 0:
             raise ValueError("learning rate must be >= 0")
         if self.epochs < 1:
@@ -139,6 +140,8 @@ class TcnModel:
     """
 
     kind = "tcn"
+    # the constructor keywords that model.json records, in its key order
+    ARCH = ("in_channels", "n_classes", "channels", "depth", "kernel", "grid")
     _ws = None  # the workspace `train` lends
 
     def __init__(self, in_channels: int, n_classes: int = 4, channels: int = 32,
@@ -257,13 +260,6 @@ class TcnModel:
     def predict(self, x) -> np.ndarray:
         return self.forward(_as_batch(x)).argmax(axis=1)
 
-    def arch(self) -> dict:
-        return {
-            "kind": self.kind, "in_channels": self.in_channels,
-            "n_classes": self.n_classes, "channels": self.channels,
-            "depth": self.depth, "kernel": self.kernel, "grid": self.grid,
-        }
-
 
 class LstmModel:
     """Stacked LSTM (2 layers, hidden 50 by default); the top layer's final
@@ -274,6 +270,7 @@ class LstmModel:
     """
 
     kind = "lstm"
+    ARCH = ("in_channels", "n_classes", "hidden", "layers", "per_step")
     _ws = None  # the workspace `train` lends
 
     def __init__(self, in_channels: int, n_classes: int = 4, hidden: int = 50,
@@ -464,13 +461,6 @@ class LstmModel:
     def predict(self, x) -> np.ndarray:
         return self.forward(_as_batch(x)).argmax(axis=1)
 
-    def arch(self) -> dict:
-        return {
-            "kind": self.kind, "in_channels": self.in_channels,
-            "n_classes": self.n_classes, "hidden": self.hidden,
-            "layers": self.layers, "per_step": self.per_step,
-        }
-
 
 def train(model, data, cfg: TrainConfig = TrainConfig(), *, labels):
     """Mini-batch cross-entropy training; returns (model, per-epoch mean loss).
@@ -523,6 +513,14 @@ def train(model, data, cfg: TrainConfig = TrainConfig(), *, labels):
         del model._ws
 
 
+def _build(kind, arch: dict, seed: int = 0):
+    """A new `kind` network from the keys of its ARCH that arch holds."""
+    for cls in (TcnModel, LstmModel):
+        if cls.kind == kind:
+            return cls(seed=seed, **{k: arch[k] for k in cls.ARCH if k in arch})
+    raise ValueError(f"unknown model kind {kind!r}")
+
+
 def fit(X, y, labels, seed, params):
     """Build the network that params["kind"] names ("tcn" or "lstm") for the
     (N, G, F) tensor X, with one output per label, and train it on the label
@@ -533,20 +531,8 @@ def fit(X, y, labels, seed, params):
     """
     X = np.asarray(X, dtype=np.float64)
     _, grid, F = X.shape
-    kind = params["kind"]
-    if kind == "tcn":
-        model = TcnModel(in_channels=F, n_classes=len(labels),
-                         channels=int(params.get("channels", 32)),
-                         depth=int(params.get("depth", 4)),
-                         kernel=int(params.get("kernel", 5)),
-                         grid=grid, seed=seed)
-    elif kind == "lstm":
-        model = LstmModel(in_channels=F, n_classes=len(labels),
-                          hidden=int(params.get("hidden", 50)),
-                          layers=int(params.get("layers", 2)),
-                          seed=seed, per_step=bool(params.get("per_step", False)))
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+    model = _build(params["kind"], dict(params, in_channels=F,
+                                        n_classes=len(labels), grid=grid), seed)
     cfg = TrainConfig(learning_rate=float(params.get("lr", 1e-3)),
                       epochs=int(params.get("epochs", 100)),
                       batch_size=int(params.get("batch_size", 32)),
@@ -601,33 +587,24 @@ def grad_check(model, sample, eps: float = 1e-5, n_coords: int = 200,
 
 
 def to_dict(model) -> dict:
-    d = model.arch()
+    d = {"kind": model.kind, **{k: getattr(model, k) for k in model.ARCH}}
     d["params"] = {k: v.tolist() for k, v in model.params.items()}
     return d
 
 
 def from_dict(d: dict):
-    kind = d["kind"]
-    if kind == "tcn":
-        model = TcnModel(in_channels=d["in_channels"], n_classes=d["n_classes"],
-                         channels=d["channels"], depth=d["depth"],
-                         kernel=d["kernel"], grid=d["grid"])
-    elif kind == "lstm":
-        model = LstmModel(in_channels=d["in_channels"], n_classes=d["n_classes"],
-                          hidden=d["hidden"], layers=d["layers"],
-                          per_step=d.get("per_step", False))
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+    """The network of a to_dict record. Its parameters must be exactly those
+    its architecture builds, each of the built shape."""
+    model = _build(d["kind"], d)
+    if set(d["params"]) != set(model.params):
+        raise ValueError(f"parameters {sorted(d['params'])} do not match the "
+                         f"{model.kind} architecture's {sorted(model.params)}")
     for k, v in d["params"].items():
         arr = np.asarray(v, dtype=np.float64)
         if arr.shape != model.params[k].shape:
             raise ValueError(f"parameter {k} has shape {arr.shape}")
         model.params[k] = arr
     return model
-
-
-def save_model(model, path) -> None:
-    Path(path).write_text(json.dumps(to_dict(model)) + "\n", encoding="utf-8")
 
 
 def save_loss_curve(curve: Sequence[float], path) -> None:

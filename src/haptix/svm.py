@@ -18,9 +18,7 @@ product X @ W.T + b and each row's argmax.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -75,6 +73,8 @@ def train_svm(X, y, classes: tuple, C: float = 1.0, epochs: int = 200,
     y = np.asarray(y, dtype=np.int64)
     if y.shape != X.shape[:1]:
         raise ValueError("X and y lengths differ")
+    if not np.isfinite(C):
+        raise ValueError(f"C must be finite, got {C}")
     if C <= 0 or epochs < 1:
         raise ValueError("need C > 0 and epochs >= 1")
     if y.min() < 0 or y.max() >= len(classes):
@@ -163,6 +163,3 @@ def from_dict(d: dict) -> SvmModel:
                     C=float(d["C"]), classes=d["classes"],
                     channel_names=tuple(names) if names else None)
 
-
-def save_model(model: SvmModel, path) -> None:
-    Path(path).write_text(json.dumps(to_dict(model)) + "\n", encoding="utf-8")

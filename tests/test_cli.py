@@ -310,6 +310,28 @@ class TestEvaluate:
         assert err.startswith(f"error: {reason}") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, reason", [
+        (["--clf", "svm", "--svm-c", "inf"], "C must be finite, got inf"),
+        (["--clf", "svm", "--svm-c", "nan"], "C must be finite, got nan"),
+        (["--clf", "tcn", "--lr", "nan"], "learning rate must be finite, got nan"),
+        (["--clf", "lstm", "--lr", "inf"], "learning rate must be finite, got inf"),
+        (["--clf", "hmm", "--tol", "nan"], "tol must be finite, got nan"),
+        (["--clf", "hmm", "--tol", "inf"], "tol must be finite, got inf"),
+    ], ids=["svm-c-inf", "svm-c-nan", "lr-nan", "lr-inf", "tol-nan", "tol-inf"])
+    def test_non_finite_hyperparameter_exits_1(self, flags, reason, data_file,
+                                               tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["evaluate", "--data", str(data_file), "--features", "fz",
+                     "--k", "2", "--epochs", "1", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {reason}\n"
+        assert not out.exists()
+
+    def test_zero_tol_runs(self, data_file, tmp_path):
+        assert main(["evaluate", "--data", str(data_file), "--features", "fz",
+                     "--k", "2", "--clf", "hmm", "--max-iter", "2", "--tol", "0",
+                     "--out", str(tmp_path / "o")]) == 0
+
     def test_non_finite_features_exit_1(self, data_file, tmp_path, capsys):
         # finite samples whose grid overflows: fz alternates +-1e308 after contact
         ds = load_trials(data_file)
@@ -482,6 +504,28 @@ class TestEvaluate:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given", ["flag", "config", "from-run"])
+    def test_empty_states_sweep_is_usage_error(self, given, data_file, eval_dir,
+                                               tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["evaluate", "--data", str(data_file), "--clf", "hmm",
+                "--out", str(out)]
+        if given == "flag":
+            argv += ["--states-sweep", ""]
+        elif given == "config":
+            (tmp_path / "cfg").write_text("states_sweep =\n")
+            argv += ["--config", str(tmp_path / "cfg")]
+        else:
+            stored = json.loads((eval_dir / "run.json").read_text())
+            stored.update(clf="hmm", states_sweep="")
+            (tmp_path / "run.json").write_text(json.dumps(stored) + "\n")
+            argv = ["evaluate", "--from-run", str(tmp_path / "run.json"),
+                    "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: --states-sweep expects a comma list of integers, got ''\n")
+        assert not out.exists()
 
 
 class TestAblate:

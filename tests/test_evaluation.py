@@ -34,7 +34,7 @@ from haptix.evaluation import (
     run_cv,
     ttest_2tailed,
     tukey_hsd,
-    write_ablation_csv,
+    write_sweep_csv,
     write_confusion_csv,
     write_folds_csv,
 )
@@ -477,10 +477,13 @@ class TestAblation:
             {"feature_set": "all", "mean_accuracy": 0.5, "std_accuracy": 0.1},
         ]
         p = tmp_path / "ablation.csv"
-        write_ablation_csv(rows, p)
+        write_sweep_csv("feature_set", rows, p)
         lines = p.read_text().strip().split("\n")
         assert lines[0] == "feature_set,mean_accuracy,std_accuracy"
         assert lines[1].startswith("fz,1.0,")
+        write_sweep_csv("states", [{"states": 2, "mean_accuracy": 0.5,
+                                    "std_accuracy": 0.25}], p)
+        assert p.read_text() == "states,mean_accuracy,std_accuracy\n2,0.5,0.25\n"
 
 
 class TestCrossDomain:

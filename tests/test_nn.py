@@ -24,7 +24,6 @@ from haptix.nn import (
     from_dict,
     grad_check,
     save_loss_curve,
-    save_model,
     to_dict,
     train,
 )
@@ -485,7 +484,7 @@ class TestSerialization:
         m = TcnModel(in_channels=2, n_classes=3, channels=4, depth=2,
                      kernel=3, grid=16, seed=7)
         back = from_dict(to_dict(m))
-        assert back.arch() == m.arch()
+        assert to_dict(back) == to_dict(m)
         for k, v in m.params.items():
             np.testing.assert_array_equal(back.params[k], v)
 
@@ -496,13 +495,39 @@ class TestSerialization:
         for k, v in m.params.items():
             np.testing.assert_array_equal(back.params[k], v)
 
+    def test_record_keys_keep_model_json_order(self):
+        assert list(to_dict(TcnModel(in_channels=1, depth=1, grid=16))) == [
+            "kind", "in_channels", "n_classes", "channels", "depth", "kernel",
+            "grid", "params"]
+        assert list(to_dict(LstmModel(in_channels=1, hidden=2))) == [
+            "kind", "in_channels", "n_classes", "hidden", "layers", "per_step",
+            "params"]
+
+    @pytest.mark.parametrize("change", ["drop param", "drop layers", "extra param"])
+    def test_record_must_match_its_architecture(self, change):
+        d = to_dict(LstmModel(in_channels=2, hidden=4, layers=1, seed=8))
+        if change == "drop param":
+            del d["params"]["l0_b"]
+        elif change == "drop layers":  # the default 2 layers would add l1_*
+            del d["layers"]
+        else:
+            d["params"]["l1_b"] = d["params"]["l0_b"]
+        with pytest.raises(ValueError, match="do not match the lstm architecture"):
+            from_dict(d)
+
+    @pytest.mark.parametrize("kind", ["gru", ["tcn"]])
+    def test_unknown_kind_rejected(self, kind):
+        d = dict(to_dict(LstmModel(in_channels=1, hidden=2)), kind=kind)
+        with pytest.raises(ValueError, match="unknown model kind"):
+            from_dict(d)
+
     def test_file_round_trip_preserves_predictions(self, tmp_path):
         rng = np.random.default_rng(18)
         m = TcnModel(in_channels=1, channels=4, depth=1, kernel=3, grid=16,
                      seed=9)
         x = rng.standard_normal((5, 16, 1))
         p = tmp_path / "tcn.json"
-        save_model(m, p)
+        p.write_text(json.dumps(to_dict(m)))
         back = from_dict(json.loads(p.read_text()))
         np.testing.assert_array_equal(back.predict(x), m.predict(x))
 
